@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
+
+import numpy as np
 
 from .errors import (
     EmptyDomain,
@@ -47,6 +49,9 @@ CR_TOL = 1e-6
 LIMIT_TOL = 1e-8
 LHOPITAL_TOL = 1e-6
 CONCAVITY_SLACK = 1e-10
+# Samples drawn per block by concavity_probe; an early exit wastes at most
+# one block of draws.
+_PROBE_CHUNK = 1024
 
 RealFn = Callable[[float], float]
 HypMap = Callable[[HyperbolicNumber], HyperbolicNumber]
@@ -277,6 +282,21 @@ class ConcavityResult:
     convex_witnesses: list = field(default_factory=list)
 
 
+def _probe_draws(rng: Xoshiro256StarStar, lo: HyperbolicNumber,
+                 hi: HyperbolicNumber, samples: int) -> Iterator[list]:
+    """Per sample: two x1 uniforms, two x2 uniforms, then lambda's two weights.
+
+    Drawn in blocks, in the order the six draws of one sample come from the
+    stream; lo + (hi - lo) * r is the float arithmetic of ``rng.uniform``.
+    """
+    low = np.array([lo.x1, lo.x1, lo.x2, lo.x2, 0.0, 0.0])
+    span = np.array([hi.x1, hi.x1, hi.x2, hi.x2, 1.0, 1.0]) - low
+    for start in range(0, samples, _PROBE_CHUNK):
+        k = min(_PROBE_CHUNK, samples - start)
+        # tolist gives Python floats, which is what the witnesses carry.
+        yield from (low + span * rng.randoms(6 * k).reshape(k, 6)).tolist()
+
+
 def concavity_probe(
     F: Union[ComponentFunction, DifferentiableFunction],
     samples: int = 10_000,
@@ -304,12 +324,12 @@ def concavity_probe(
     convex = True
     concave_witnesses: list = []
     convex_witnesses: list = []
-    for _ in range(samples):
-        a1, b1 = sorted((rng.uniform(lo.x1, hi.x1), rng.uniform(lo.x1, hi.x1)))
-        a2, b2 = sorted((rng.uniform(lo.x2, hi.x2), rng.uniform(lo.x2, hi.x2)))
+    for u1, v1, u2, v2, l1, l2 in _probe_draws(rng, lo, hi, samples):
+        a1, b1 = sorted((u1, v1))
+        a2, b2 = sorted((u2, v2))
         xi = HyperbolicNumber(a1, a2)
         chi = HyperbolicNumber(b1, b2)
-        lam = HyperbolicNumber(rng.random(), rng.random())
+        lam = HyperbolicNumber(l1, l2)
         mid = comp((ONE - lam) * xi + lam * chi)
         bound = (ONE - lam) * comp(xi) + lam * comp(chi)
         if mid.x1 > bound.x1 + slack or mid.x2 > bound.x2 + slack:

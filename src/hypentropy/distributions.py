@@ -64,10 +64,14 @@ class RealDistribution:
         object.__setattr__(self, "p", np.asarray(self.p, dtype=float))
         if self.p.ndim != 1 or self.p.size < 1:
             raise SumInvalid("a distribution needs at least one entry")
-        if np.any(self.p < 0):
-            raise NegativeComponent(f"negative probability {self.p.min()!r}")
+        # Written as "not all >= 0" so that NaN, which fails every
+        # comparison, is caught in the same pass.
+        if not np.all(self.p >= 0):
+            if np.isnan(self.p).any():
+                raise NegativeComponent("probability is NaN")
+            raise NegativeComponent(f"negative probability {float(self.p.min())!r}")
         if np.any(self.p > 1 + SUM_TOL):
-            raise ComponentExceedsOne(f"probability {self.p.max()!r} exceeds 1")
+            raise ComponentExceedsOne(f"probability {float(self.p.max())!r} exceeds 1")
         total = float(self.p.sum())
         if abs(total - 1.0) > SUM_TOL:
             raise SumInvalid(f"probabilities sum to {total!r}, expected 1")
@@ -123,9 +127,9 @@ def validate(raw: Iterable[tuple[float, float]]) -> HyperbolicDistribution:
     p2 = np.array([b for _, b in pairs], dtype=float)
     for arr in (p1, p2):
         if np.any(arr < 0):
-            raise NegativeComponent(f"negative component {arr.min()!r}")
+            raise NegativeComponent(f"negative component {float(arr.min())!r}")
         if np.any(arr > 1 + SUM_TOL):
-            raise ComponentExceedsOne(f"component {arr.max()!r} exceeds 1")
+            raise ComponentExceedsOne(f"component {float(arr.max())!r} exceeds 1")
     s1 = float(p1.sum())
     s2 = float(p2.sum())
     if abs(s1 - 1.0) <= SUM_TOL and abs(s2 - 1.0) <= SUM_TOL:
@@ -134,7 +138,7 @@ def validate(raw: Iterable[tuple[float, float]]) -> HyperbolicDistribution:
         return HyperbolicDistribution(p1, p2, Case.E1_ONLY)
     if s1 <= SUM_TOL and abs(s2 - 1.0) <= SUM_TOL:
         return HyperbolicDistribution(p1, p2, Case.E2_ONLY)
-    raise SumInvalid(f"SumInvalid: component sums ({s1!r}, {s2!r})")
+    raise SumInvalid(f"component sums ({s1!r}, {s2!r})")
 
 
 def embed(P: RealDistribution) -> HyperbolicDistribution:

@@ -4,9 +4,19 @@ A self-contained, named 64-bit PRNG so that generated probability vectors
 reproduce bit-identically from a seed, independent of the host library
 version.  Seeding expands a single 64-bit seed through splitmix64, the
 standard companion initializer.
+
+Long draws (``randoms(n)`` with n >= ``_BLOCK_MIN``) give the identical
+stream through jump-ahead lanes.  The state transition is linear over GF(2)
+(Blackman & Vigna, ACM TOMS 2021), so with A the 256 x 256 bit matrix of one
+step, the state k*m steps on is s @ A^(k*m).  The draw is split into lanes
+of m = 2^a steps; lane k starts at s @ A^(k*m), all lanes step together in
+numpy ``uint64``, and the outputs are read lane by lane.
 """
 
 from __future__ import annotations
+
+import functools
+import operator
 
 import numpy as np
 
@@ -45,6 +55,96 @@ def derive_seed(seed: int, *tokens: object) -> int:
     return h
 
 
+# Draws of at least this many values take the jump-ahead block path; below
+# it the per-lane set-up costs more than scalar stepping saves.
+_BLOCK_MIN = 1024
+
+_WORDS = np.dtype("<u8")
+
+
+def _advance(s: np.ndarray) -> None:
+    """One xoshiro256** transition of every column of s (shape (4, k)), in place."""
+    s0, s1, s2, s3 = s
+    t = s1 << 17
+    s2 ^= s0
+    s3 ^= s1
+    s1 ^= s2
+    s0 ^= s3
+    s2 ^= t
+    np.bitwise_or(s3 << 45, s3 >> 19, out=s3)
+
+
+def _to_bits(words: np.ndarray) -> np.ndarray:
+    """(k, 4) state words -> (k, 256) 0/1 bits, bit i of word w at 64*w + i."""
+    return np.unpackbits(np.ascontiguousarray(words, dtype=_WORDS).view(np.uint8),
+                         axis=1, bitorder="little")
+
+
+def _to_words(bits: np.ndarray) -> np.ndarray:
+    """Inverse of ``_to_bits``: (k, 256) bits -> (k, 4) state words."""
+    return np.packbits(bits, axis=1, bitorder="little").view(_WORDS)
+
+
+def _gf2_matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Product of 0/1 matrices over GF(2).
+
+    The float32 product is exact, since every sum counts at most 256 ones;
+    its parity is read through an integer cast, as float ``% 2`` is far
+    slower.
+    """
+    prod = x.astype(np.float32) @ y.astype(np.float32)
+    return (prod.astype(np.int16) & 1).astype(np.uint8)
+
+
+@functools.cache
+def _jump_matrix(j: int) -> np.ndarray:
+    """A^(2^j) as a read-only ``uint8`` 0/1 matrix: s @ A^(2^j) jumps 2^j steps.
+
+    Row i of A is the state reached in one step from the i-th unit state.
+    """
+    if j == 0:
+        basis = _to_words(np.eye(256, dtype=np.uint8)).T.copy()
+        _advance(basis)
+        power = _to_bits(basis.T)
+    else:
+        half = _jump_matrix(j - 1)
+        power = _gf2_matmul(half, half)
+    power.flags.writeable = False
+    return power
+
+
+def _block_randoms(state: list[int], n: int) -> tuple[np.ndarray, list[int]]:
+    """The next n draws from ``state`` and the state after them, via lanes."""
+    n = operator.index(n)
+    a = (n - 1).bit_length() // 2
+    m = 1 << a
+    lanes = -(-n // m)
+    # Lane k starts k*m steps on; each doubling round jumps the lanes built
+    # so far by their count times m.
+    bits = np.empty((lanes, 256), dtype=np.uint8)
+    bits[0] = _to_bits(np.array([state], dtype=_WORDS))[0]
+    built, j = 1, a
+    while built < lanes:
+        more = min(built, lanes - built)
+        bits[built:built + more] = _gf2_matmul(bits[:more], _jump_matrix(j))
+        built, j = built + more, j + 1
+    s = _to_words(bits).T.copy()
+    # The last lane makes only the steps the draw still needs; its state
+    # after them is the generator's state after n draws.
+    last = n - (lanes - 1) * m
+    s1_seen = np.empty((m, lanes), dtype=np.uint64)
+    for step in range(m):
+        s1_seen[step] = s[1]
+        _advance(s)
+        if step + 1 == last:
+            end = [int(w) for w in s[:, -1]]
+    x = s1_seen * np.uint64(5)
+    x = (x << 7) | (x >> 57)
+    x *= np.uint64(9)
+    out = (x >> 11).astype(np.float64) * (1.0 / (1 << 53))
+    return out.T.reshape(-1)[:n], end
+
+
 class Xoshiro256StarStar:
     """xoshiro256** by Blackman and Vigna (2018)."""
 
@@ -69,7 +169,11 @@ class Xoshiro256StarStar:
         return (self.next_u64() >> 11) * (1.0 / (1 << 53))
 
     def randoms(self, n: int) -> np.ndarray:
-        return np.array([self.random() for _ in range(n)], dtype=float)
+        """n uniform doubles, the same as n calls of ``random``."""
+        if n < _BLOCK_MIN:
+            return np.array([self.random() for _ in range(n)], dtype=float)
+        out, self._s = _block_randoms(self._s, n)
+        return out
 
     def uniform(self, lo: float, hi: float) -> float:
         return lo + (hi - lo) * self.random()

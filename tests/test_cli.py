@@ -105,6 +105,25 @@ class TestEntropyCommand:
         assert code == EXIT_VALIDATION
         assert "SumInvalid" in capsys.readouterr().err
 
+    def test_sum_error_names_its_class_once(self, tmp_path, capsys):
+        path = tmp_path / "half.json"
+        path.write_text('{"rho": [[0.25, 0.25], [0.25, 0.25]]}')
+        code = main(["entropy", "--input", str(path),
+                     "--measure", "strong_shannon_hyp"])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err == "error: SumInvalid: component sums (0.5, 0.5)\n"
+        assert err.count("SumInvalid:") == 1
+
+    def test_nan_entry_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "nan.json"
+        path.write_text("[NaN, 1.0]")
+        code = main(["entropy", "--input", str(path), "--measure", "shannon"])
+        assert code == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "NaN" in captured.err
+
     def test_missing_file_exits_1(self, tmp_path):
         code = main(["entropy", "--input", str(tmp_path / "nope.json"),
                      "--measure", "shannon"])

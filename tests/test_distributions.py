@@ -53,6 +53,12 @@ class TestRealDistribution:
         with pytest.raises(NegativeComponent):
             RealDistribution(np.array([1.2, -0.2]))
 
+    def test_nan_rejected(self):
+        with pytest.raises(NegativeComponent, match="NaN"):
+            RealDistribution(np.array([np.nan, 1.0]))
+        with pytest.raises(NegativeComponent, match="NaN"):
+            RealDistribution(np.array([0.5, -0.1, np.nan]))
+
     def test_exceeds_one_rejected(self):
         with pytest.raises(ComponentExceedsOne):
             RealDistribution(np.array([1.5, 0.0]))
