@@ -22,7 +22,14 @@ from . import distributions as dist
 from . import measures
 from .errors import HypentropyError, NonConvergent, ParseError
 from .hyperbolic import HyperbolicNumber, embed_real
-from .stability import StabilityRecord, SweepConfig, stability_sweep
+from .stability import (
+    HYPERBOLIC_MEASURES,
+    ORDERED_MEASURES,
+    REAL_MEASURES,
+    StabilityRecord,
+    SweepConfig,
+    stability_sweep,
+)
 from .verify import InvariantResult, run_invariants
 
 EXIT_OK = 0
@@ -61,26 +68,37 @@ def _fmt(x: float) -> str:
 
 def _parse_order(text: str) -> HyperbolicNumber:
     """Parse "a1,a2" as idempotent coordinates, or a single real as a*1_D."""
-    if "," in text:
-        a1, a2 = (float(part) for part in text.split(",", 1))
-        return HyperbolicNumber(a1, a2)
-    return embed_real(float(text))
+    try:
+        if "," in text:
+            a1, a2 = (float(part) for part in text.split(",", 1))
+            return HyperbolicNumber(a1, a2)
+        return embed_real(float(text))
+    except ValueError:
+        raise ParseError(
+            f'order must be a real or "a1,a2", got {text!r}') from None
 
 
 def _load_distribution(path: str
                        ) -> Union[dist.RealDistribution, dist.HyperbolicDistribution]:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        return dist.hyp_from_json(text)
-    if stripped.startswith("["):
-        return dist.real_from_json(text)
-    first_line = stripped.splitlines()[0].strip() if stripped else ""
-    if first_line.replace(" ", "") == "p1,p2":
-        return dist.hyp_from_csv(text)
-    if first_line == "p":
-        return dist.real_from_csv(text)
+    # Malformed text (undecodable bytes, bad or too deeply nested JSON, a
+    # missing key, a non-numeric cell) raises plain Python errors; they
+    # become one typed ParseError.  OSError passes through as an I/O failure.
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+        stripped = text.lstrip()
+        first_line = stripped.splitlines()[0].strip() if stripped else ""
+        if stripped.startswith("{"):
+            return dist.hyp_from_json(text)
+        if stripped.startswith("["):
+            return dist.real_from_json(text)
+        if first_line.replace(" ", "") == "p1,p2":
+            return dist.hyp_from_csv(text)
+        if first_line == "p":
+            return dist.real_from_csv(text)
+    except (ValueError, KeyError, TypeError, IndexError, RecursionError) as exc:
+        raise ParseError(f"malformed distribution in {path!r}: "
+                         f"{type(exc).__name__}: {exc}") from None
     raise ParseError(f"unrecognized distribution format in {path!r}")
 
 
@@ -230,14 +248,19 @@ def _records_to_json(records: Sequence[StabilityRecord]) -> str:
 
 
 def _parse_grid(text: str, kind) -> list:
-    return [kind(part) for part in text.split(",") if part.strip()]
+    try:
+        return [kind(part) for part in text.split(",") if part.strip()]
+    except ValueError:
+        raise ParseError(
+            f"grid must be comma-separated {kind.__name__} values, "
+            f"got {text!r}") from None
 
 
 def cmd_stability(args: argparse.Namespace) -> int:
     order = _parse_order(args.order) if args.order is not None else None
     measure_selection = []
     for name in args.measure:
-        needs_order = name in ("renyi", "renyi_hyp")
+        needs_order = name in ORDERED_MEASURES
         measure_selection.append((name, order if needs_order else None))
     config = SweepConfig(
         families=args.family,
@@ -338,14 +361,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_stab = sub.add_parser("stability", help="run a Lesche-stability sweep")
     p_stab.add_argument("--family", action="append", required=True,
-                        choices=("CertaintySpread", "UniformSpike", "RandomSmooth"))
+                        choices=dist.FAMILIES)
     p_stab.add_argument("--N-grid", dest="n_grid", required=True,
                         help="comma-separated state counts")
     p_stab.add_argument("--delta-grid", dest="delta_grid", required=True,
                         help="comma-separated perturbation sizes")
     p_stab.add_argument("--measure", action="append", required=True,
-                        choices=("shannon", "renyi", "strong_shannon_hyp",
-                                 "renyi_hyp"))
+                        choices=REAL_MEASURES + HYPERBOLIC_MEASURES)
     p_stab.add_argument("--order", default=None)
     add_common(p_stab)
     p_stab.set_defaults(func=cmd_stability)

@@ -23,6 +23,7 @@ from .errors import (
     CaseMismatch,
     NegativeOrder,
     NonConvergent,
+    NonFinite,
     NonPositiveOrder,
     OrderOnZeroDivisorLine,
     OrderOne,
@@ -69,8 +70,14 @@ class EntropyValue:
 
 def _neg_xlogx_sum(p: np.ndarray) -> float:
     """-sum p*log(p) with 0*log(0) := 0."""
+    x = p[p > 0.0]
+    return float(-(x * np.log(x)).sum())
+
+
+def _renyi_coordinate(p: np.ndarray, a: float) -> float:
+    """log(sum p**a) / (1 - a) over the positive entries of p."""
     mask = p > 0.0
-    return float(-(p[mask] * np.log(p[mask])).sum())
+    return float(np.log((p[mask] ** a).sum()) / (1.0 - a))
 
 
 # --- real measures -----------------------------------------------------------
@@ -102,16 +109,22 @@ def extropy_duality_check(P: RealDistribution) -> DualityResult:
     return DualityResult(lhs=extropy(P), rhs=binary_sum - shannon(P))
 
 
-def renyi(P: RealDistribution, q: float) -> float:
-    """Renyi entropy of order q > 0, q != 1; zero probabilities contribute 0."""
+def _check_renyi_order(q: float) -> None:
+    """Order domain of the real Renyi entropy: finite q >= 0, q != 1."""
     if q < 0.0:
         raise NegativeOrder(f"Renyi order must be positive, got {q!r}")
+    if not math.isfinite(q):
+        raise NonFinite(f"Renyi order must be finite, got {q!r}")
     if q == 1.0:
         raise OrderOne("order 1 is the Shannon entropy; call shannon()")
+
+
+def renyi(P: RealDistribution, q: float) -> float:
+    """Renyi entropy of order q > 0, q != 1; zero probabilities contribute 0."""
+    _check_renyi_order(q)
     if q == 0.0:
         return hartley(P)
-    mask = P.p > 0.0
-    return float(np.log((P.p[mask] ** q).sum()) / (1.0 - q))
+    return _renyi_coordinate(P.p, q)
 
 
 def hartley(P: RealDistribution) -> float:
@@ -211,26 +224,30 @@ def strong_shannon_via_generating(B: HyperbolicDistribution) -> HyperbolicNumber
     return value
 
 
-def _renyi_coordinate(p: np.ndarray, a: float) -> float:
-    mask = p > 0.0
-    return float(np.log((p[mask] ** a).sum()) / (1.0 - a))
-
-
-def renyi_hyp(B: HyperbolicDistribution, alpha: HyperbolicNumber) -> HyperbolicNumber:
-    """Hyperbolic Renyi entropy (1_D / (1_D - alpha)) Log_D sum rho^alpha.
-
-    The order must be strictly positive with neither coordinate equal to 1;
-    an order on the zero-divisor line of 1_D - alpha is rejected rather than
-    silently mixing a Shannon coordinate with a Renyi coordinate.
-    """
-    _require_full(B, "renyi_hyp")
+def _check_renyi_hyp_order(alpha: HyperbolicNumber) -> None:
+    """Order domain of the hyperbolic Renyi entropy: both coordinates finite
+    and > 0, neither equal to 1."""
     if not alpha.is_positive():
         raise NonPositiveOrder(f"order {alpha} must be strictly positive")
+    if not (math.isfinite(alpha.x1) and math.isfinite(alpha.x2)):
+        raise NonFinite(f"order {alpha} must be finite")
     if alpha.x1 == 1.0 or alpha.x2 == 1.0:
         raise OrderOnZeroDivisorLine(
             f"1_D - {alpha} is a zero divisor; use renyi_hyp_limit or "
             "renyi_hyp_mixed"
         )
+
+
+def renyi_hyp(B: HyperbolicDistribution, alpha: HyperbolicNumber) -> HyperbolicNumber:
+    """Hyperbolic Renyi entropy (1_D / (1_D - alpha)) Log_D sum rho^alpha.
+
+    The order must be strictly positive and finite with neither coordinate
+    equal to 1;
+    an order on the zero-divisor line of 1_D - alpha is rejected rather than
+    silently mixing a Shannon coordinate with a Renyi coordinate.
+    """
+    _require_full(B, "renyi_hyp")
+    _check_renyi_hyp_order(alpha)
     return HyperbolicNumber(
         _renyi_coordinate(B.p1, alpha.x1), _renyi_coordinate(B.p2, alpha.x2)
     )

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -19,12 +19,11 @@ from .distributions import (
     HyperbolicDistribution,
     PerturbationPair,
     RealDistribution,
-    embed,
     perturbation_family,
 )
 from .errors import CaseMismatch, DegenerateN, HypentropyError, LengthMismatch
-from .hyperbolic import HyperbolicNumber, embed_real, modulus_k
-from .measures import renyi, renyi_hyp, shannon, strong_shannon_hyp
+from .hyperbolic import HyperbolicNumber, embed_real
+from .measures import _check_renyi_hyp_order, renyi, shannon
 from .rng import derive_seed
 
 __all__ = [
@@ -36,17 +35,20 @@ __all__ = [
     "stability_sweep",
     "REAL_MEASURES",
     "HYPERBOLIC_MEASURES",
+    "ORDERED_MEASURES",
 ]
 
 REAL_MEASURES = ("shannon", "renyi")
 HYPERBOLIC_MEASURES = ("strong_shannon_hyp", "renyi_hyp")
+ORDERED_MEASURES = ("renyi", "renyi_hyp")
 
 
 def lesche_norm(P: RealDistribution, Q: RealDistribution) -> float:
     """L1 distance sum |p_s - q_s|."""
     if P.n != Q.n:
         raise LengthMismatch(f"length mismatch: {P.n} vs {Q.n}")
-    return float(np.abs(P.p - Q.p).sum())
+    diff = P.p - Q.p
+    return float(np.abs(diff, out=diff).sum())
 
 
 def lesche_norm_hyp(
@@ -76,22 +78,62 @@ class StabilityRecord:
     error: Optional[str] = None
 
 
-def _measure_value(
-    measure: str, B: HyperbolicDistribution, order: Optional[HyperbolicNumber]
-) -> HyperbolicNumber:
-    if measure == "shannon":
-        return embed_real(shannon(B.projection1()))
-    if measure == "renyi":
-        if order is None:
-            raise HypentropyError("renyi needs an order")
-        return embed_real(renyi(B.projection1(), order.x1))
-    if measure == "strong_shannon_hyp":
-        return strong_shannon_hyp(B)
-    if measure == "renyi_hyp":
-        if order is None:
-            raise HypentropyError("renyi_hyp needs an order")
-        return renyi_hyp(B, order)
-    raise HypentropyError(f"unknown stability measure {measure!r}")
+def _evaluate_pair(
+    pair: PerturbationPair,
+    selection: Sequence[tuple[str, Optional[HyperbolicNumber]]],
+) -> list[Union[StabilityRecord, HypentropyError]]:
+    """Stability records of several measures on one pair, in selection order.
+
+    The pair is evaluated once, on ``pair.base`` and ``pair.perturbed``
+    directly: one L1 norm, and each real kernel (Shannon, or Renyi of one
+    order) at most once per distribution.  An embedded pair has equal
+    coordinates, so a hyperbolic measure takes the real kernel in each
+    coordinate and shares it with the real measure.  A measure that fails
+    yields its error in place of a record.
+    """
+    if pair.n < 2:
+        raise DegenerateN("stability ratio needs at least two states")
+    norm = embed_real(lesche_norm(pair.base, pair.perturbed))
+    log_n = math.log(pair.n)
+    memo: dict[tuple, tuple[float, float]] = {}
+
+    def kernel(fn, *order: float) -> tuple[float, float]:
+        key = (fn, *order)
+        if key not in memo:
+            memo[key] = (fn(pair.base, *order), fn(pair.perturbed, *order))
+        return memo[key]
+
+    results: list[Union[StabilityRecord, HypentropyError]] = []
+    for measure, order in selection:
+        try:
+            if measure in ORDERED_MEASURES and order is None:
+                raise HypentropyError(f"{measure} needs an order")
+            if measure == "shannon":
+                base, pert = map(embed_real, kernel(shannon))
+            elif measure == "renyi":
+                base, pert = map(embed_real, kernel(renyi, order.x1))
+            elif measure == "strong_shannon_hyp":
+                base, pert = (HyperbolicNumber(v, v) for v in kernel(shannon))
+            elif measure == "renyi_hyp":
+                _check_renyi_hyp_order(order)
+                base, pert = map(HyperbolicNumber, kernel(renyi, order.x1),
+                                 kernel(renyi, order.x2))
+            else:
+                raise HypentropyError(f"unknown stability measure {measure!r}")
+        except HypentropyError as exc:
+            results.append(exc)
+            continue
+        results.append(StabilityRecord(
+            family=pair.family,
+            n=pair.n,
+            delta=pair.delta,
+            measure=measure,
+            order=order,
+            norm=norm,
+            ratio=HyperbolicNumber(abs(base.x1 - pert.x1) / log_n,
+                                   abs(base.x2 - pert.x2) / log_n),
+        ))
+    return results
 
 
 def stability_ratio(
@@ -103,27 +145,13 @@ def stability_ratio(
 
     Real measures evaluate on the real pair (their record components are then
     equal); hyperbolic measures evaluate on the embedded pair, dividing by
-    log(N) * 1_D coordinatewise.
+    log(N) * 1_D coordinatewise.  This is the sweep's pair evaluation with a
+    single measure, so the two agree bit for bit.
     """
-    if pair.n < 2:
-        raise DegenerateN("stability ratio needs at least two states")
-    B = embed(pair.base)
-    C = embed(pair.perturbed)
-    norm = lesche_norm_hyp(B, C)
-    log_n = math.log(pair.n)
-    value_base = _measure_value(measure, B, order)
-    value_pert = _measure_value(measure, C, order)
-    diff = modulus_k(value_base - value_pert)
-    ratio = HyperbolicNumber(diff.x1 / log_n, diff.x2 / log_n)
-    return StabilityRecord(
-        family=pair.family,
-        n=pair.n,
-        delta=pair.delta,
-        measure=measure,
-        order=order,
-        norm=norm,
-        ratio=ratio,
-    )
+    (result,) = _evaluate_pair(pair, [(measure, order)])
+    if isinstance(result, HypentropyError):
+        raise result
+    return result
 
 
 @dataclass(frozen=True)
@@ -163,25 +191,18 @@ def stability_sweep(config: SweepConfig) -> list[StabilityRecord]:
                 cell_seed = derive_seed(config.seed, family, n, delta)
                 try:
                     pair = perturbation_family(family, n, delta, seed=cell_seed)
+                    results = _evaluate_pair(pair, config.measures)
                 except HypentropyError as exc:
-                    for measure, order in config.measures:
-                        records.append(StabilityRecord(
+                    results = [exc] * len(config.measures)
+                for (measure, order), result in zip(config.measures, results):
+                    if isinstance(result, HypentropyError):
+                        result = StabilityRecord(
                             family, n, delta, measure, order,
                             norm=HyperbolicNumber(math.nan, math.nan),
                             ratio=HyperbolicNumber(math.nan, math.nan),
-                            error=type(exc).__name__,
-                        ))
-                    continue
-                for measure, order in config.measures:
-                    try:
-                        records.append(stability_ratio(measure, pair, order))
-                    except HypentropyError as exc:
-                        records.append(StabilityRecord(
-                            family, n, delta, measure, order,
-                            norm=HyperbolicNumber(math.nan, math.nan),
-                            ratio=HyperbolicNumber(math.nan, math.nan),
-                            error=type(exc).__name__,
-                        ))
+                            error=type(result).__name__,
+                        )
+                    records.append(result)
     records.sort(key=lambda r: (
         r.family, _measure_key(r.measure, r.order), r.n, r.delta))
     return records

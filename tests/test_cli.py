@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import warnings
 
 import pytest
 
@@ -137,6 +138,16 @@ class TestEntropyCommand:
         code = main(["entropy", "--input", hyp_path, "--measure", "shannon"])
         assert code == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("order", ["inf,2", "nan,2"])
+    def test_nonfinite_order_exits_2_without_warning(self, real_path, order,
+                                                     capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["entropy", "--input", real_path,
+                         "--measure", "renyi", "--order", order])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("error: NonFinite: ")
+
 
 class TestStabilityCommand:
     ARGS = ["stability", "--family", "CertaintySpread",
@@ -190,6 +201,39 @@ class TestStabilityCommand:
                      "--N-grid", "", "--delta-grid", "0.01",
                      "--measure", "shannon"])
         assert code == EXIT_VALIDATION
+
+
+class TestMalformedInput:
+    """Malformed flags and files exit 2 with a typed ParseError."""
+
+    SWEEP = ["stability", "--family", "CertaintySpread", "--measure", "renyi"]
+
+    @pytest.mark.parametrize("flags", [
+        ["--N-grid", "10", "--delta-grid", "0.01", "--order", "x"],
+        ["--N-grid", "10,x", "--delta-grid", "0.01", "--order", "2"],
+        ["--N-grid", "10", "--delta-grid", "0.01,y", "--order", "2"],
+    ], ids=["order", "n-grid", "delta-grid"])
+    def test_bad_flag_exits_2(self, flags, capsys):
+        assert main(self.SWEEP + flags) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ParseError: ")
+
+    @pytest.mark.parametrize("name, text", [
+        ("truncated.json", '{"rho": [[0.5, 0.5], [0.5'),
+        ("no-rho.json", '{"case": "full"}'),
+        ("cell.csv", "p\n0.5\nhalf\n"),
+        ("deep.json", "[" * 100_000),
+    ], ids=["truncated-json", "json-without-rho", "non-numeric-csv-cell",
+            "deeply-nested-json"])
+    def test_bad_file_exits_2(self, name, text, tmp_path, capsys):
+        path = tmp_path / name
+        path.write_text(text)
+        code = main(["entropy", "--input", str(path), "--measure", "shannon"])
+        assert code == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ParseError: ")
 
 
 class TestLimitsCommand:

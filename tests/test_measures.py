@@ -41,6 +41,7 @@ from hypentropy import (
 from hypentropy.errors import (
     CaseMismatch,
     NegativeOrder,
+    NonFinite,
     NonPositiveOrder,
     OrderOne,
     OrderOnZeroDivisorLine,
@@ -145,6 +146,17 @@ class TestRenyi:
     def test_negative_order_rejected(self):
         with pytest.raises(NegativeOrder):
             renyi(uniform(2), -0.5)
+
+    @pytest.mark.parametrize("q", [math.nan, math.inf])
+    def test_nonfinite_order_rejected(self, q):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFinite):
+                renyi(uniform(2), q)
+
+    def test_negative_infinite_order_is_negative(self):
+        with pytest.raises(NegativeOrder):
+            renyi(uniform(2), -math.inf)
 
     def test_against_oracle(self, rng):
         for q in (0.3, 0.5, 2.0, 4.0):
@@ -286,6 +298,12 @@ class TestRenyiHyp:
             renyi_hyp(fixture_b, HyperbolicNumber(0.5, -1.0))
         with pytest.raises(NonPositiveOrder):
             renyi_hyp(fixture_b, HyperbolicNumber(0.0, 2.0))
+
+    def test_rejects_nonfinite_order(self, fixture_b):
+        with pytest.raises(NonFinite):
+            renyi_hyp(fixture_b, HyperbolicNumber(math.inf, 2.0))
+        with pytest.raises(NonPositiveOrder):
+            renyi_hyp(fixture_b, HyperbolicNumber(math.nan, 2.0))
 
     def test_rejects_order_on_zero_divisor_line(self, fixture_b):
         with pytest.raises(OrderOnZeroDivisorLine):

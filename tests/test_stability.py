@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -22,12 +23,15 @@ from hypentropy import (
     stability_sweep,
     validate,
 )
+from hypentropy.cli import main
+from hypentropy.distributions import FAMILIES
 from hypentropy.errors import (
     CaseMismatch,
     DegenerateN,
     HypentropyError,
     LengthMismatch,
 )
+from hypentropy.rng import derive_seed
 
 from conftest import oracle_renyi, oracle_shannon, random_full
 
@@ -135,6 +139,19 @@ class TestStabilityRatio:
         with pytest.raises(DegenerateN):
             stability_ratio("shannon", pair)
 
+    @pytest.mark.parametrize("measure, order", [
+        ("renyi", embed_real(2.0)),
+        ("strong_shannon_hyp", None),
+        ("renyi_hyp", HyperbolicNumber(0.5, 2.0)),
+    ])
+    def test_degenerate_n_precedes_measure(self, measure, order):
+        pair = PerturbationPair(
+            base=dist([1.0]), perturbed=dist([1.0]),
+            family="CertaintySpread", delta=0.01, n=1,
+        )
+        with pytest.raises(DegenerateN):
+            stability_ratio(measure, pair, order)
+
     def test_renyi_requires_order(self):
         pair = perturbation_family("CertaintySpread", 3, 0.1)
         with pytest.raises(HypentropyError):
@@ -188,6 +205,26 @@ class TestSweep:
         assert all(r.error == "OrderOnZeroDivisorLine" for r in errors)
         assert all(math.isnan(r.ratio.x1) for r in errors)
 
+    def test_records_equal_stability_ratio(self):
+        # The sweep and stability_ratio share one pair evaluator; every clean
+        # record must equal the single-measure call bit for bit.
+        alpha = HyperbolicNumber(0.5, 2.0)
+        config = self.make_config(
+            families=FAMILIES,
+            measures=(("shannon", None), ("renyi", alpha),
+                      ("strong_shannon_hyp", None), ("renyi_hyp", alpha)),
+            seed=5,
+        )
+        records = stability_sweep(config)
+        assert len(records) == 3 * 2 * 2 * 4
+        assert all(r.error is None for r in records)
+        for rec in records:
+            pair = perturbation_family(
+                rec.family, rec.n, rec.delta,
+                seed=derive_seed(config.seed, rec.family, rec.n, rec.delta))
+            single = stability_ratio(rec.measure, pair, rec.order)
+            assert repr(single) == repr(rec)
+
     def test_empty_grid_rejected(self):
         with pytest.raises(HypentropyError):
             self.make_config(n_grid=())
@@ -231,3 +268,87 @@ class TestSignatures:
             ratios.append(
                 stability_ratio("renyi", pair, order=embed_real(2.0)).ratio.x1)
         assert all(a < b for a, b in zip(ratios, ratios[1:]))
+
+
+class TestGoldenSweepOutput:
+    """SHA-256 of `hypentropy stability` output on a fixed corpus.
+
+    The digests were recorded from the per-measure evaluation that embedded
+    each pair and projected it back; any rewrite of the stability layer must
+    reproduce the CLI output byte for byte, error rows included.
+    """
+
+    ANALYTIC = ["--family", "CertaintySpread", "--family", "UniformSpike",
+                "--N-grid", "2,10,10000,100000",
+                "--delta-grid", "0.01,0.3,1.5"]
+    SMOOTH = ["--family", "RandomSmooth", "--N-grid", "2,10,10000,100000",
+              "--delta-grid", "0.01,0.3"]
+    MEASURES = ["--measure", "shannon", "--measure", "renyi",
+                "--measure", "strong_shannon_hyp", "--measure", "renyi_hyp"]
+    REVERSED = ["--measure", "renyi_hyp", "--measure", "strong_shannon_hyp",
+                "--measure", "renyi", "--measure", "shannon"]
+
+    CASES = {
+        "order-2-csv": ANALYTIC + MEASURES + ["--order", "2"],
+        "order-2-json": ANALYTIC + MEASURES + ["--order", "2",
+                                               "--format", "json"],
+        "order-0.5-csv": ANALYTIC + MEASURES + ["--order", "0.5"],
+        "order-0.5,2-csv": ANALYTIC + MEASURES + ["--order", "0.5,2"],
+        "order-0.5,2-json": ANALYTIC + MEASURES + ["--order", "0.5,2",
+                                                   "--format", "json"],
+        "order-0.5,2-unit-k": ANALYTIC + MEASURES + ["--order", "0.5,2",
+                                                     "--basis", "unit-k"],
+        "order-1-csv": ANALYTIC + MEASURES + ["--order", "1"],
+        "order-minus-1-csv": ANALYTIC + MEASURES + ["--order=-1"],
+        "order-0-csv": ANALYTIC + MEASURES + ["--order", "0"],
+        "order-nan,2-csv": ANALYTIC + MEASURES + ["--order", "nan,2"],
+        "order-nan,2-json": ANALYTIC + MEASURES + ["--order", "nan,2",
+                                                   "--format", "json"],
+        "no-order-csv": ANALYTIC + MEASURES,
+        "smooth-seed-3-csv": SMOOTH + MEASURES + ["--order", "0.5,2",
+                                                  "--seed", "3"],
+        "smooth-seed-11-json": SMOOTH + MEASURES + ["--order", "0.5,2",
+                                                    "--seed", "11",
+                                                    "--format", "json"],
+        "reversed-csv": ANALYTIC + REVERSED + ["--order", "0.5,2"],
+    }
+    DIGESTS = {
+        "no-order-csv":
+            "878346ba3b7637c83547a79889cd4c455e675db1d3a690c23080b734c59c29a1",
+        "order-0-csv":
+            "8c72836d41fb81b22a877ba3c50606872e176640ee677defc25df74d3b6b043f",
+        "order-0.5,2-csv":
+            "daaa436a16e068ba55c92341d83f03705070679ad81d8105b064f13979be2e32",
+        "order-0.5,2-json":
+            "ec05ed4d9063378dbb59b99a35afea9bea9a7f21e15a73c848231a07f2f3df55",
+        "order-0.5,2-unit-k":
+            "29113684f71ae3eb2767c0e926e6f6ae65aa985b4af00e97a909fec764fe0d19",
+        "order-0.5-csv":
+            "08139f8f762c88e5fc9539e400ec5f6e3717468ba82795480a9a853a65fd980c",
+        "order-1-csv":
+            "28f09aad418310880a23f4d52b75b0d8a329df974a3162ee95e435e1f910891e",
+        "order-2-csv":
+            "242edd9e537ed60ce2f5e534c03886f6463889c98a31e09beca5383568c5c36e",
+        "order-2-json":
+            "cf469a3d9bfb5af1a957d2a76bbefecb0c4d09e910cca3be6d6f2b8d45773eab",
+        "order-minus-1-csv":
+            "30b964beb1cbf48e2e6f00f855193f6792bc8f85b4c48aeb30672e95fc1b3032",
+        "order-nan,2-csv":
+            "70ee649ad5c22169a4836138ba00ca81bb852582f5a041efda7466e31df11d9a",
+        "order-nan,2-json":
+            "7688e4e6a3ad4cbf1603deba338dab320da8fca739b042d34cf9044f6c26e15c",
+        "reversed-csv":
+            "daaa436a16e068ba55c92341d83f03705070679ad81d8105b064f13979be2e32",
+        "smooth-seed-11-json":
+            "a3fa72f74d65a0a9bed72be406c45997712a71a1353519239e2c060c8fc6bc5b",
+        "smooth-seed-3-csv":
+            "8f828e55cec13390d683fe2bb0e4d9e9592c66290ad053407f784b07744d30a3",
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_output_digest(self, case, tmp_path):
+        out = tmp_path / "sweep.out"
+        assert main(["stability", *self.CASES[case],
+                     "--output", str(out)]) == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == self.DIGESTS[case]
