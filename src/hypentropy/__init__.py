@@ -43,7 +43,6 @@ from .hyperbolic import (
     partial_cmp,
 )
 from .measures import (
-    EntropyValue,
     collision,
     collision_hyp,
     extropy,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Union
 
 import numpy as np
 
@@ -47,6 +47,8 @@ __all__ = [
 FD_STEP = 1e-6
 CR_TOL = 1e-6
 LIMIT_TOL = 1e-8
+# hyp_limit's steps t, shrinking tenfold from 1e-3 to 1e-13 on every approach.
+LIMIT_STEPS = tuple(10.0 ** (-3 - n) for n in range(11))
 LHOPITAL_TOL = 1e-6
 CONCAVITY_SLACK = 1e-10
 # Samples drawn per block by concavity_probe; an early exit wastes at most
@@ -168,10 +170,6 @@ def check_cauchy_riemann(
     return CauchyRiemannResult(holds, residuals)
 
 
-def _limit_sequence(approach: str) -> Sequence[float]:
-    return [10.0 ** (-3 - n) for n in range(11)]
-
-
 def hyp_limit(
     F: Union[ComponentFunction, DifferentiableFunction, HypMap],
     xi0: HyperbolicNumber,
@@ -191,9 +189,8 @@ def hyp_limit(
     fmap = _as_component(F) if isinstance(
         F, (ComponentFunction, DifferentiableFunction)) else F
 
-    steps = _limit_sequence(approach)
     means: list[tuple[float, float]] = []
-    for t in steps:
+    for t in LIMIT_STEPS:
         if approach == "both":
             above = fmap(xi0 + embed_real(t))
             below = fmap(xi0 - embed_real(t))

@@ -22,14 +22,7 @@ from . import distributions as dist
 from . import measures
 from .errors import HypentropyError, NonConvergent, ParseError
 from .hyperbolic import HyperbolicNumber, embed_real
-from .stability import (
-    HYPERBOLIC_MEASURES,
-    ORDERED_MEASURES,
-    REAL_MEASURES,
-    StabilityRecord,
-    SweepConfig,
-    stability_sweep,
-)
+from .stability import StabilityRecord, SweepConfig, stability_sweep
 from .verify import InvariantResult, run_invariants
 
 EXIT_OK = 0
@@ -42,25 +35,6 @@ STABILITY_CSV_HEADER = [
     "family", "measure", "order_e1", "order_e2", "N", "delta",
     "norm_e1", "norm_e2", "ratio_e1", "ratio_e2", "error",
 ]
-
-# measure name -> (needs_order, hyperbolic-valued)
-MEASURES = {
-    "shannon": (False, False),
-    "extropy": (False, False),
-    "hartley": (False, False),
-    "collision": (False, False),
-    "renyi": (True, False),
-    "renyi_extropy": (True, False),
-    "shannon_via_generating": (False, False),
-    "strong_shannon_hyp": (False, True),
-    "strong_shannon_via_generating": (False, True),
-    "strong_extropy_hyp": (False, True),
-    "renyi_hyp": (True, True),
-    "renyi_extropy_hyp": (True, True),
-    "hartley_hyp": (False, True),
-    "collision_hyp": (False, True),
-}
-
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
@@ -116,65 +90,17 @@ def _value_columns(value: HyperbolicNumber, basis: str) -> tuple[float, float]:
     return value.x1, value.x2
 
 
-def _compute_measure(
-    name: str,
-    D: Union[dist.RealDistribution, dist.HyperbolicDistribution],
-    order: Optional[HyperbolicNumber],
-) -> measures.EntropyValue:
-    needs_order, hyperbolic = MEASURES[name]
-    if needs_order and order is None:
-        raise HypentropyError(f"measure {name!r} requires --order")
-    if hyperbolic:
-        B = dist.embed(D) if isinstance(D, dist.RealDistribution) else D
-        fn = {
-            "strong_shannon_hyp": measures.strong_shannon_hyp,
-            "strong_shannon_via_generating":
-                measures.strong_shannon_via_generating,
-            "strong_extropy_hyp": measures.strong_extropy_hyp,
-            "hartley_hyp": measures.hartley_hyp,
-            "collision_hyp": measures.collision_hyp,
-        }.get(name)
-        if fn is not None:
-            value = fn(B)
-        elif name == "renyi_hyp":
-            value = measures.renyi_hyp(B, order)
-        else:
-            value = measures.renyi_extropy_hyp(B, order)
-        return measures.EntropyValue(value, name, order, B.n)
-    if not isinstance(D, dist.RealDistribution):
-        raise HypentropyError(
-            f"measure {name!r} expects a real distribution input"
-        )
-    real_fn = {
-        "shannon": measures.shannon,
-        "extropy": measures.extropy,
-        "hartley": measures.hartley,
-        "collision": measures.collision,
-        "shannon_via_generating": measures.shannon_via_generating,
-    }.get(name)
-    if real_fn is not None:
-        scalar = real_fn(D)
-    elif name == "renyi":
-        scalar = measures.renyi(D, order.x1)
-    else:
-        scalar = measures.renyi_extropy(D, order.x1)
-    return measures.EntropyValue(embed_real(scalar), name, order, D.n)
-
-
 def cmd_entropy(args: argparse.Namespace) -> int:
     D = _load_distribution(args.input)
     rows = []
     for name in args.measure:
-        if name not in MEASURES:
-            raise HypentropyError(f"unknown measure {name!r}")
         order = None
-        if MEASURES[name][0] and args.order is not None:
+        if measures.MEASURES[name].check and args.order is not None:
             order = _parse_order(args.order)
-        ev = _compute_measure(name, D, order)
-        v1, v2 = _value_columns(ev.value, args.basis)
+        v1, v2 = _value_columns(measures.evaluate(name, D, order), args.basis)
         o1, o2 = ("", "")
-        if ev.order is not None:
-            o1, o2 = _fmt(ev.order.x1), _fmt(ev.order.x2)
+        if order is not None:
+            o1, o2 = _fmt(order.x1), _fmt(order.x2)
         rows.append({"measure": name, "order_e1": o1, "order_e2": o2,
                      "value_e1": _fmt(v1), "value_e2": _fmt(v2)})
     if args.format == "json":
@@ -258,10 +184,10 @@ def _parse_grid(text: str, kind) -> list:
 
 def cmd_stability(args: argparse.Namespace) -> int:
     order = _parse_order(args.order) if args.order is not None else None
-    measure_selection = []
-    for name in args.measure:
-        needs_order = name in ORDERED_MEASURES
-        measure_selection.append((name, order if needs_order else None))
+    measure_selection = [
+        (name, order if measures.MEASURES[name].check else None)
+        for name in args.measure
+    ]
     config = SweepConfig(
         families=args.family,
         n_grid=_parse_grid(args.n_grid, int),
@@ -353,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_entropy = sub.add_parser("entropy", help="compute measures of a distribution")
     p_entropy.add_argument("--input", required=True)
     p_entropy.add_argument("--measure", action="append", required=True,
-                           choices=sorted(MEASURES))
+                           choices=sorted(measures.MEASURES))
     p_entropy.add_argument("--order", default=None,
                            help='order as "a1,a2" or a single real meaning a*1_D')
     add_common(p_entropy)
@@ -367,7 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_stab.add_argument("--delta-grid", dest="delta_grid", required=True,
                         help="comma-separated perturbation sizes")
     p_stab.add_argument("--measure", action="append", required=True,
-                        choices=REAL_MEASURES + HYPERBOLIC_MEASURES)
+                        choices=[name for name, m in measures.MEASURES.items()
+                                 if m.kernel])
     p_stab.add_argument("--order", default=None)
     add_common(p_stab)
     p_stab.set_defaults(func=cmd_stability)

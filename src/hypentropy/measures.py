@@ -5,6 +5,11 @@ Every hyperbolic measure is evaluated coordinatewise in the idempotent basis
 with the 0*log(0) := 0 convention applied per coordinate inside entropy sums
 (the standalone hyperbolic logarithm still rejects non-positive inputs).
 Natural logarithms throughout.
+
+``MEASURES`` is the one map from a measure name to its computation: a real
+measure is its 1-D coordinate kernel on ``P.p`` at order q, and its
+hyperbolic lift is ``HyperbolicNumber(kernel(p1, a1), kernel(p2, a2))``.
+The public functions, the CLI and the Lesche sweep all read it.
 """
 
 from __future__ import annotations
@@ -12,15 +17,16 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional, Union
 
 import numpy as np
 
 from .calculus import ComponentFunction, DifferentiableFunction, hyp_derivative, \
     hyp_limit, lhopital_check
-from .distributions import Case, HyperbolicDistribution, RealDistribution
+from .distributions import Case, HyperbolicDistribution, RealDistribution, embed
 from .errors import (
     CaseMismatch,
+    HypentropyError,
     NegativeOrder,
     NonConvergent,
     NonFinite,
@@ -30,10 +36,12 @@ from .errors import (
     ZeroComponent,
     ZeroProbability,
 )
-from .hyperbolic import ONE, ZERO, HyperbolicNumber, embed_real
+from .hyperbolic import ONE, HyperbolicNumber, embed_real
 
 __all__ = [
-    "EntropyValue",
+    "Measure",
+    "MEASURES",
+    "evaluate",
     "shannon",
     "extropy",
     "extropy_duality_check",
@@ -58,15 +66,7 @@ GENERATING_TOL = 1e-8
 LIMIT_AGREE_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class EntropyValue:
-    """A measurement result: which measure produced which hyperbolic value."""
-
-    value: HyperbolicNumber
-    measure: str
-    order: Optional[HyperbolicNumber]
-    n: int
-
+# --- coordinate kernels --------------------------------------------------------
 
 def _neg_xlogx_sum(p: np.ndarray) -> float:
     """-sum p*log(p) with 0*log(0) := 0."""
@@ -74,22 +74,174 @@ def _neg_xlogx_sum(p: np.ndarray) -> float:
     return float(-(x * np.log(x)).sum())
 
 
+def _extropy_coordinate(p: np.ndarray) -> float:
+    """-sum (1-p)*log(1-p) with 0*log(0) := 0."""
+    return _neg_xlogx_sum(1.0 - p)
+
+
+def _hartley_coordinate(p: np.ndarray) -> float:
+    """log N, counting all N states (0**0 := 1)."""
+    return math.log(p.size)
+
+
 def _renyi_coordinate(p: np.ndarray, a: float) -> float:
-    """log(sum p**a) / (1 - a) over the positive entries of p."""
+    """log(sum p**a) / (1 - a) over the positive entries of p; orders 0 and 1
+    are the Hartley and the Shannon entropy."""
+    if a == 0.0:
+        return _hartley_coordinate(p)
+    if a == 1.0:
+        return _neg_xlogx_sum(p)
     mask = p > 0.0
     return float(np.log((p[mask] ** a).sum()) / (1.0 - a))
+
+
+def _collision_coordinate(p: np.ndarray) -> float:
+    """Renyi entropy of order 2, -log sum p**2."""
+    return _renyi_coordinate(p, 2.0)
+
+
+def _renyi_extropy_coordinate(p: np.ndarray, a: float) -> float:
+    """(N-1) * [log sum (1-p)**a - log(N-1)] / (1-a); 0 for a single state."""
+    n = p.size
+    if n == 1:
+        warnings.warn("Renyi extropy of a single state is 0 by convention")
+        return 0.0
+    comp = float(np.log(((1.0 - p) ** a).sum()))
+    return ((n - 1.0) * (comp - math.log(n - 1.0))) / (1.0 - a)
+
+
+# --- order domains -------------------------------------------------------------
+
+def _check_renyi_order(q: float) -> None:
+    """Order domain of a real Renyi-type measure: finite q >= 0, q != 1."""
+    if q < 0.0:
+        raise NegativeOrder(f"Renyi order must be positive, got {q!r}")
+    if not math.isfinite(q):
+        raise NonFinite(f"Renyi order must be finite, got {q!r}")
+    if q == 1.0:
+        raise OrderOne("order 1 is a limit; call shannon() or extropy()")
+
+
+def _check_positive_finite(alpha: HyperbolicNumber) -> None:
+    """Both coordinates of a hyperbolic order finite and > 0."""
+    if not alpha.is_positive():
+        raise NonPositiveOrder(f"order {alpha} must be strictly positive")
+    if not (math.isfinite(alpha.x1) and math.isfinite(alpha.x2)):
+        raise NonFinite(f"order {alpha} must be finite")
+
+
+def _check_renyi_hyp_order(alpha: HyperbolicNumber) -> None:
+    """Order domain of a hyperbolic Renyi-type measure: both coordinates
+    finite and > 0, neither equal to 1."""
+    _check_positive_finite(alpha)
+    if alpha.x1 == 1.0 or alpha.x2 == 1.0:
+        raise OrderOnZeroDivisorLine(
+            f"1_D - {alpha} is a zero divisor; an order-1 coordinate is a "
+            "limit (see renyi_hyp_limit, renyi_hyp_mixed)"
+        )
+
+
+# --- the registry --------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Measure:
+    """How one named measure is computed.
+
+    ``kernel(p, *order)`` evaluates one coordinate on a 1-D probability
+    array.  ``check`` validates the real order q of a real measure or the
+    hyperbolic order of a hyperbolic one (None: the measure takes no order).
+    ``any_case`` admits case e1/e2 input.  A generating-function route has no
+    kernel; ``route`` takes the whole distribution.
+    """
+
+    kernel: Optional[Callable[..., float]]
+    check: Optional[Callable[..., None]] = None
+    hyperbolic: bool = False
+    any_case: bool = False
+    route: Optional[Callable] = None
+
+    def order_args(self, name: str, order: Optional[HyperbolicNumber]
+                   ) -> tuple[tuple, tuple]:
+        """Kernel order arguments per coordinate, after the domain check; a
+        real measure takes q = order.x1 in both."""
+        if self.check is None:
+            return (), ()
+        if order is None:
+            raise HypentropyError(f"measure {name!r} needs an order")
+        if self.hyperbolic:
+            self.check(order)
+            return (order.x1,), (order.x2,)
+        self.check(order.x1)
+        return (order.x1,), (order.x1,)
+
+    def value(self, v1: float, v2: float) -> HyperbolicNumber:
+        """Coordinate values as a hyperbolic number; a real value v1 becomes
+        v1 * 1_D, which rejects a non-finite value."""
+        return HyperbolicNumber(v1, v2) if self.hyperbolic else embed_real(v1)
+
+
+def _real(name: str, P: RealDistribution, *q: float) -> float:
+    """A real measure: its kernel on P.p at order q."""
+    m = MEASURES[name]
+    if m.check is not None:
+        m.check(*q)
+    return m.kernel(P.p, *q)
+
+
+def _require_full(B: HyperbolicDistribution, measure: str) -> None:
+    if B.case is not Case.FULL:
+        raise CaseMismatch(
+            f"{measure} is defined for case full only, got {B.case.value}"
+        )
+
+
+def _lift(name: str, B: HyperbolicDistribution,
+          alpha: Optional[HyperbolicNumber] = None) -> HyperbolicNumber:
+    """A hyperbolic measure: its kernel on each projection at the matching
+    order coordinate."""
+    m = MEASURES[name]
+    if not m.any_case:
+        _require_full(B, name)
+    a1, a2 = m.order_args(name, alpha)
+    return HyperbolicNumber(m.kernel(B.p1, *a1), m.kernel(B.p2, *a2))
+
+
+def evaluate(
+    name: str,
+    D: Union[RealDistribution, HyperbolicDistribution],
+    order: Optional[HyperbolicNumber] = None,
+) -> HyperbolicNumber:
+    """The named measure of a real or hyperbolic distribution.
+
+    A real measure takes q = order.x1 and needs real input; its value comes
+    back as v * 1_D.  A hyperbolic measure reads real input as its
+    embedding, in place.
+    """
+    m = MEASURES.get(name)
+    if m is None:
+        raise HypentropyError(f"unknown measure {name!r}")
+    if isinstance(D, HyperbolicDistribution):
+        if not m.hyperbolic:
+            raise HypentropyError(
+                f"measure {name!r} expects a real distribution input")
+        return m.route(D) if m.route is not None else _lift(name, D, order)
+    if m.route is not None:
+        return m.route(embed(D)) if m.hyperbolic else embed_real(m.route(D))
+    a1, a2 = m.order_args(name, order)
+    v1 = m.kernel(D.p, *a1)
+    return m.value(v1, v1 if a2 == a1 else m.kernel(D.p, *a2))
 
 
 # --- real measures -----------------------------------------------------------
 
 def shannon(P: RealDistribution) -> float:
     """Shannon entropy -sum p log p."""
-    return _neg_xlogx_sum(P.p)
+    return _real("shannon", P)
 
 
 def extropy(P: RealDistribution) -> float:
     """Extropy -sum (1-p) log(1-p), the complementary dual of entropy."""
-    return _neg_xlogx_sum(1.0 - P.p)
+    return _real("extropy", P)
 
 
 @dataclass(frozen=True)
@@ -105,86 +257,44 @@ def extropy_duality_check(P: RealDistribution) -> DualityResult:
     symmetric identity (with S and J swapped) is the same equation rearranged,
     so one pair of sides certifies both directions.
     """
-    binary_sum = _neg_xlogx_sum(P.p) + _neg_xlogx_sum(1.0 - P.p)
+    binary_sum = shannon(P) + extropy(P)
     return DualityResult(lhs=extropy(P), rhs=binary_sum - shannon(P))
 
 
-def _check_renyi_order(q: float) -> None:
-    """Order domain of the real Renyi entropy: finite q >= 0, q != 1."""
-    if q < 0.0:
-        raise NegativeOrder(f"Renyi order must be positive, got {q!r}")
-    if not math.isfinite(q):
-        raise NonFinite(f"Renyi order must be finite, got {q!r}")
-    if q == 1.0:
-        raise OrderOne("order 1 is the Shannon entropy; call shannon()")
-
-
 def renyi(P: RealDistribution, q: float) -> float:
-    """Renyi entropy of order q > 0, q != 1; zero probabilities contribute 0."""
-    _check_renyi_order(q)
-    if q == 0.0:
-        return hartley(P)
-    return _renyi_coordinate(P.p, q)
+    """Renyi entropy of order q >= 0, q != 1; zero probabilities contribute 0,
+    and order 0 is the Hartley entropy."""
+    return _real("renyi", P, q)
 
 
 def hartley(P: RealDistribution) -> float:
     """Hartley entropy log N, counting all N states (0**0 := 1)."""
-    return math.log(P.n)
+    return _real("hartley", P)
 
 
 def collision(P: RealDistribution) -> float:
-    """Collision entropy -log sum p^2."""
-    return float(-np.log((P.p ** 2).sum()))
+    """Collision entropy -log sum p^2, the Renyi entropy of order 2."""
+    return _real("collision", P)
 
 
 def renyi_extropy(P: RealDistribution, q: float) -> float:
-    """Renyi extropy of order q != 1 for an N-state distribution."""
-    if q == 1.0:
-        raise OrderOne("order 1 has no closed form here; take a limit")
-    n = P.n
-    if n == 1:
-        warnings.warn("Renyi extropy of a single state is 0 by convention")
-        return 0.0
-    comp = float(np.log(((1.0 - P.p) ** q).sum()))
-    return ((n - 1.0) * (comp - math.log(n - 1.0))) / (1.0 - q)
+    """Renyi extropy of order q >= 0, q != 1, for an N-state distribution."""
+    return _real("renyi_extropy", P, q)
 
 
 def shannon_via_generating(P: RealDistribution) -> float:
     """Shannon entropy as lim_{t -> -1} d/dt sum p^{-t}.
 
-    Numerical route through the derivative/limit machinery; requires strictly
-    positive probabilities and must land within 1e-8 of the closed form.
+    The hyperbolic route of ``strong_shannon_via_generating`` on the embedded
+    distribution, whose coordinates are equal; requires strictly positive
+    probabilities and must land within 1e-8 of the closed form.
     """
     if np.any(P.p <= 0.0):
         raise ZeroProbability("generating-function route needs p > 0")
-    p = P.p
-
-    def g(t: float) -> float:
-        return float((p ** (-t)).sum())
-
-    G = DifferentiableFunction(ComponentFunction.symmetric(g))
-
-    def g_prime(xi: HyperbolicNumber) -> HyperbolicNumber:
-        return hyp_derivative(G, xi)
-
-    limit = hyp_limit(g_prime, embed_real(-1.0))
-    value = limit.x1
-    closed = shannon(P)
-    if abs(value - closed) > GENERATING_TOL:
-        raise NonConvergent(
-            f"generating-function value {value!r} drifted from entropy {closed!r}"
-        )
-    return value
+    return strong_shannon_via_generating(embed(P)).x1
 
 
 # --- hyperbolic measures -----------------------------------------------------
-
-def _require_full(B: HyperbolicDistribution, measure: str) -> None:
-    if B.case is not Case.FULL:
-        raise CaseMismatch(
-            f"{measure} is defined for case full only, got {B.case.value}"
-        )
-
 
 def strong_shannon_hyp(B: HyperbolicDistribution) -> HyperbolicNumber:
     """Strong hyperbolic Shannon entropy sum -rho_s Log_D(rho_s).
@@ -193,7 +303,7 @@ def strong_shannon_hyp(B: HyperbolicDistribution) -> HyperbolicNumber:
     every entry annihilates its log factor, so the result lives on the
     corresponding zero-divisor line.
     """
-    return HyperbolicNumber(_neg_xlogx_sum(B.p1), _neg_xlogx_sum(B.p2))
+    return _lift("strong_shannon_hyp", B)
 
 
 def strong_shannon_via_generating(B: HyperbolicDistribution) -> HyperbolicNumber:
@@ -224,20 +334,6 @@ def strong_shannon_via_generating(B: HyperbolicDistribution) -> HyperbolicNumber
     return value
 
 
-def _check_renyi_hyp_order(alpha: HyperbolicNumber) -> None:
-    """Order domain of the hyperbolic Renyi entropy: both coordinates finite
-    and > 0, neither equal to 1."""
-    if not alpha.is_positive():
-        raise NonPositiveOrder(f"order {alpha} must be strictly positive")
-    if not (math.isfinite(alpha.x1) and math.isfinite(alpha.x2)):
-        raise NonFinite(f"order {alpha} must be finite")
-    if alpha.x1 == 1.0 or alpha.x2 == 1.0:
-        raise OrderOnZeroDivisorLine(
-            f"1_D - {alpha} is a zero divisor; use renyi_hyp_limit or "
-            "renyi_hyp_mixed"
-        )
-
-
 def renyi_hyp(B: HyperbolicDistribution, alpha: HyperbolicNumber) -> HyperbolicNumber:
     """Hyperbolic Renyi entropy (1_D / (1_D - alpha)) Log_D sum rho^alpha.
 
@@ -246,11 +342,7 @@ def renyi_hyp(B: HyperbolicDistribution, alpha: HyperbolicNumber) -> HyperbolicN
     an order on the zero-divisor line of 1_D - alpha is rejected rather than
     silently mixing a Shannon coordinate with a Renyi coordinate.
     """
-    _require_full(B, "renyi_hyp")
-    _check_renyi_hyp_order(alpha)
-    return HyperbolicNumber(
-        _renyi_coordinate(B.p1, alpha.x1), _renyi_coordinate(B.p2, alpha.x2)
-    )
+    return _lift("renyi_hyp", B, alpha)
 
 
 def renyi_hyp_mixed(
@@ -259,13 +351,10 @@ def renyi_hyp_mixed(
     """Per-coordinate dispatch extension: a coordinate of order exactly 1 is
     evaluated as Shannon entropy.  Convenience beyond the strict definition."""
     _require_full(B, "renyi_hyp_mixed")
-    if not alpha.is_positive():
-        raise NonPositiveOrder(f"order {alpha} must be strictly positive")
-
-    def coord(p: np.ndarray, a: float) -> float:
-        return _neg_xlogx_sum(p) if a == 1.0 else _renyi_coordinate(p, a)
-
-    return HyperbolicNumber(coord(B.p1, alpha.x1), coord(B.p2, alpha.x2))
+    _check_positive_finite(alpha)
+    return HyperbolicNumber(
+        _renyi_coordinate(B.p1, alpha.x1), _renyi_coordinate(B.p2, alpha.x2)
+    )
 
 
 def _log_power_sum_function(B: HyperbolicDistribution) -> DifferentiableFunction:
@@ -318,24 +407,17 @@ def renyi_hyp_limit(B: HyperbolicDistribution) -> HyperbolicNumber:
 
 def hartley_hyp(B: HyperbolicDistribution) -> HyperbolicNumber:
     """Hyperbolic Hartley entropy: log N in both coordinates."""
-    _require_full(B, "hartley_hyp")
-    return embed_real(math.log(B.n))
+    return _lift("hartley_hyp", B)
 
 
 def collision_hyp(B: HyperbolicDistribution) -> HyperbolicNumber:
     """Hyperbolic collision entropy: order 2_D Renyi entropy."""
-    _require_full(B, "collision_hyp")
-    return HyperbolicNumber(
-        _renyi_coordinate(B.p1, 2.0), _renyi_coordinate(B.p2, 2.0)
-    )
+    return _lift("collision_hyp", B)
 
 
 def strong_extropy_hyp(B: HyperbolicDistribution) -> HyperbolicNumber:
     """Strong hyperbolic extropy -sum (1_D - rho) Log_D (1_D - rho)."""
-    _require_full(B, "strong_extropy_hyp")
-    return HyperbolicNumber(
-        _neg_xlogx_sum(1.0 - B.p1), _neg_xlogx_sum(1.0 - B.p2)
-    )
+    return _lift("strong_extropy_hyp", B)
 
 
 def renyi_extropy_hyp(
@@ -343,22 +425,30 @@ def renyi_extropy_hyp(
 ) -> HyperbolicNumber:
     """Strong hyperbolic Renyi extropy of hyperbolic order alpha.
 
-    Per coordinate: (1/(1-a)) * (N-1) * [log sum (1-p)^a - log(N-1)].
-    A single-state distribution returns 0_D with a warning, since the (N-1)
-    prefactor annihilates the expression.
+    Per coordinate: (1/(1-a)) * (N-1) * [log sum (1-p)^a - log(N-1)], with the
+    order domain of ``renyi_hyp``.  A single-state distribution returns 0_D
+    with a warning, since the (N-1) prefactor annihilates the expression.
     """
-    _require_full(B, "renyi_extropy_hyp")
-    if alpha.x1 == 1.0 or alpha.x2 == 1.0:
-        raise OrderOnZeroDivisorLine(
-            f"1_D - {alpha} is a zero divisor for order {alpha}"
-        )
-    n = B.n
-    if n == 1:
-        warnings.warn("Renyi extropy of a single state is 0_D by convention")
-        return ZERO
+    return _lift("renyi_extropy_hyp", B, alpha)
 
-    def coord(p: np.ndarray, a: float) -> float:
-        comp = float(np.log(((1.0 - p) ** a).sum()))
-        return ((n - 1.0) * (comp - math.log(n - 1.0))) / (1.0 - a)
 
-    return HyperbolicNumber(coord(B.p1, alpha.x1), coord(B.p2, alpha.x2))
+MEASURES: dict[str, Measure] = {
+    "shannon": Measure(_neg_xlogx_sum),
+    "extropy": Measure(_extropy_coordinate),
+    "hartley": Measure(_hartley_coordinate),
+    "collision": Measure(_collision_coordinate),
+    "renyi": Measure(_renyi_coordinate, _check_renyi_order),
+    "renyi_extropy": Measure(_renyi_extropy_coordinate, _check_renyi_order),
+    "shannon_via_generating": Measure(None, route=shannon_via_generating),
+    "strong_shannon_hyp": Measure(_neg_xlogx_sum, hyperbolic=True,
+                                  any_case=True),
+    "strong_shannon_via_generating": Measure(
+        None, hyperbolic=True, route=strong_shannon_via_generating),
+    "strong_extropy_hyp": Measure(_extropy_coordinate, hyperbolic=True),
+    "renyi_hyp": Measure(_renyi_coordinate, _check_renyi_hyp_order,
+                         hyperbolic=True),
+    "renyi_extropy_hyp": Measure(_renyi_extropy_coordinate,
+                                 _check_renyi_hyp_order, hyperbolic=True),
+    "hartley_hyp": Measure(_hartley_coordinate, hyperbolic=True),
+    "collision_hyp": Measure(_collision_coordinate, hyperbolic=True),
+}

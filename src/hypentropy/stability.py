@@ -23,7 +23,7 @@ from .distributions import (
 )
 from .errors import CaseMismatch, DegenerateN, HypentropyError, LengthMismatch
 from .hyperbolic import HyperbolicNumber, embed_real
-from .measures import _check_renyi_hyp_order, renyi, shannon
+from .measures import MEASURES
 from .rng import derive_seed
 
 __all__ = [
@@ -33,14 +33,7 @@ __all__ = [
     "lesche_norm_hyp",
     "stability_ratio",
     "stability_sweep",
-    "REAL_MEASURES",
-    "HYPERBOLIC_MEASURES",
-    "ORDERED_MEASURES",
 ]
-
-REAL_MEASURES = ("shannon", "renyi")
-HYPERBOLIC_MEASURES = ("strong_shannon_hyp", "renyi_hyp")
-ORDERED_MEASURES = ("renyi", "renyi_hyp")
 
 
 def lesche_norm(P: RealDistribution, Q: RealDistribution) -> float:
@@ -85,10 +78,10 @@ def _evaluate_pair(
     """Stability records of several measures on one pair, in selection order.
 
     The pair is evaluated once, on ``pair.base`` and ``pair.perturbed``
-    directly: one L1 norm, and each real kernel (Shannon, or Renyi of one
-    order) at most once per distribution.  An embedded pair has equal
-    coordinates, so a hyperbolic measure takes the real kernel in each
-    coordinate and shares it with the real measure.  A measure that fails
+    directly: one L1 norm, and each coordinate kernel at each order at most
+    once per distribution.  An embedded pair has equal coordinates, so a
+    hyperbolic measure shares its kernel values with the real measure.  Any
+    closed-form measure of ``MEASURES`` can be swept; a measure that fails
     yields its error in place of a record.
     """
     if pair.n < 2:
@@ -100,26 +93,18 @@ def _evaluate_pair(
     def kernel(fn, *order: float) -> tuple[float, float]:
         key = (fn, *order)
         if key not in memo:
-            memo[key] = (fn(pair.base, *order), fn(pair.perturbed, *order))
+            memo[key] = (fn(pair.base.p, *order), fn(pair.perturbed.p, *order))
         return memo[key]
 
     results: list[Union[StabilityRecord, HypentropyError]] = []
     for measure, order in selection:
         try:
-            if measure in ORDERED_MEASURES and order is None:
-                raise HypentropyError(f"{measure} needs an order")
-            if measure == "shannon":
-                base, pert = map(embed_real, kernel(shannon))
-            elif measure == "renyi":
-                base, pert = map(embed_real, kernel(renyi, order.x1))
-            elif measure == "strong_shannon_hyp":
-                base, pert = (HyperbolicNumber(v, v) for v in kernel(shannon))
-            elif measure == "renyi_hyp":
-                _check_renyi_hyp_order(order)
-                base, pert = map(HyperbolicNumber, kernel(renyi, order.x1),
-                                 kernel(renyi, order.x2))
-            else:
-                raise HypentropyError(f"unknown stability measure {measure!r}")
+            m = MEASURES.get(measure)
+            if m is None or m.kernel is None:
+                raise HypentropyError(f"no closed-form measure {measure!r}")
+            a1, a2 = m.order_args(measure, order)
+            (b1, q1), (b2, q2) = kernel(m.kernel, *a1), kernel(m.kernel, *a2)
+            base, pert = m.value(b1, b2), m.value(q1, q2)
         except HypentropyError as exc:
             results.append(exc)
             continue

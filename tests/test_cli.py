@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import argparse
+import hashlib
 import json
 import warnings
 
@@ -14,6 +16,7 @@ from hypentropy.cli import (
     EXIT_NONCONVERGENT,
     EXIT_OK,
     EXIT_VALIDATION,
+    build_parser,
     main,
     records_from_csv,
     records_to_csv,
@@ -305,3 +308,139 @@ class TestExitCodeContract:
         codes = {EXIT_OK, EXIT_IO, EXIT_VALIDATION, EXIT_NONCONVERGENT,
                  EXIT_INVARIANT}
         assert codes == {0, 1, 2, 3, 4}
+
+
+def _run(argv, capsys) -> tuple[int, str]:
+    code = main(argv)
+    return code, capsys.readouterr().out
+
+
+class TestGoldenEntropyOutput:
+    """SHA-256 of `hypentropy entropy` stdout and exit codes on a fixed corpus.
+
+    Each digest covers one measure on every file, order and basis below,
+    recorded from the CLI's per-name dispatch before the measure registry
+    replaced it.  Two runs are held out of the digests, as their bytes change
+    on purpose: `collision` on real files with zero entries (now bit-equal to
+    `renyi --order 2`) and `renyi_extropy_hyp --order 0` (now outside the
+    order domain, exit 2); both are checked below.
+    """
+
+    FILES = {
+        "real.csv": "p\n0.15\n0.35\n0.2\n0.3\n",
+        "real.json": "[0.5, 0.25, 0.125, 0.0625, 0.0625]",
+        "hyp-full.csv": "p1,p2\n0.2,0.6\n0.5,0.1\n0.3,0.3\n",
+        "hyp-zeros.json": ('{"case": "full", "rho": [[0.5, 0.0], [0.0, 0.25],'
+                           ' [0.25, 0.5], [0.25, 0.25]]}'),
+        "hyp-e1.json": '{"case": "e1", "rho": [[0.25, 0.0], [0.75, 0.0]]}',
+        "real-zeros.csv": "p\n0.08\n0.08\n0.0\n0.0\n0.1\n0.12\n0.18\n0.12\n"
+                          "0.06\n0.08\n0.08\n0.1\n",
+        "certainty.json": "[0.0, 1.0, 0.0]",
+        "single.csv": "p\n1\n",
+    }
+    REAL_ZERO_FILES = ("real-zeros.csv", "certainty.json")
+    ORDERS = (None, "0.5", "2", "0.5,2", "0")
+    BASES = ("idempotent", "unit-k")
+    DIGESTS = {
+        "collision":
+            "5be3860616466034b861bd8406723cdf7543da7e005548a3cc77e8907c5baf12",
+        "collision_hyp":
+            "b81ca07b27fcdf0d1c14cc7ae209e72c3c9c047de0be26f51d2b6ee50ddf0c29",
+        "extropy":
+            "29fc3a49926c855eaf1d6194f421612dd2b4c591ae26a59308061e81dd8a4a2a",
+        "hartley":
+            "3768761bcfc728912d06035da6099a2ddec1a6e32fb65d9eef70bec62d55f25a",
+        "hartley_hyp":
+            "e4063e4e76910fbc7c71c533cefa666ffd3459a58be267dc40553feb9337d957",
+        "renyi":
+            "8ec767d44666c1e10849e6dd74412e8dbab609b56e7e321db966ed6118a9d597",
+        "renyi_extropy":
+            "70fa5c4d867a62825a24cecbdc3a44ad519d8447429d0de87d1202aa0f88c066",
+        "renyi_extropy_hyp":
+            "70c47dc97412e5e00ec7000e68c6595c6f214e79a8c71d21f41f22102d5cec60",
+        "renyi_hyp":
+            "105c933c83cc8591cc208a0c70f12e1eb239851ec824e73d3234fd709fdb6b44",
+        "shannon":
+            "b7d1ffb0813eae9fe14b6f09fc5e1bc573e9f940442fc8d349ffcb1304b8105e",
+        "shannon_via_generating":
+            "524a020f52b97d9fa66774a975958a8f9af42c511aee4020c81e8ad386ba0a6a",
+        "strong_extropy_hyp":
+            "fa55d6ecae054bad6ac20ee7bb0ac285207aec30c9fc50f00c2f6ded091856f8",
+        "strong_shannon_hyp":
+            "f864e6423cfcd0d71b82df1496d77034983e9ba5f906f01bef8c4e19188a2f59",
+        "strong_shannon_via_generating":
+            "764d3d93adca454d45b108ad65e16e6ce0675bb1a74a0611c9fca72a5f05f934",
+    }
+
+    @pytest.fixture
+    def paths(self, tmp_path):
+        for name, text in self.FILES.items():
+            (tmp_path / name).write_text(text)
+        return {name: str(tmp_path / name) for name in self.FILES}
+
+    def corpus_text(self, measure, paths, capsys) -> str:
+        parts = []
+        for name in self.FILES:
+            if measure == "collision" and name in self.REAL_ZERO_FILES:
+                continue
+            for order in self.ORDERS:
+                if measure == "renyi_extropy_hyp" and order == "0":
+                    continue
+                for basis in self.BASES:
+                    argv = ["entropy", "--input", paths[name],
+                            "--measure", measure, "--basis", basis]
+                    if order is not None:
+                        argv += ["--order", order]
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore")
+                        code, out = _run(argv, capsys)
+                    parts.append(f"{name} {order} {basis} {code}\n{out}")
+        return "".join(parts)
+
+    @pytest.mark.parametrize("measure", [
+        "collision", "collision_hyp", "extropy", "hartley", "hartley_hyp",
+        "renyi", "renyi_extropy", "renyi_extropy_hyp", "renyi_hyp",
+        "shannon", "shannon_via_generating", "strong_extropy_hyp",
+        "strong_shannon_hyp", "strong_shannon_via_generating",
+    ])
+    def test_output_digest(self, measure, paths, capsys):
+        text = self.corpus_text(measure, paths, capsys)
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == self.DIGESTS[measure]
+
+    @pytest.mark.parametrize("measure, code", [
+        ("strong_shannon_hyp", EXIT_OK),
+        ("strong_extropy_hyp", EXIT_VALIDATION),
+    ])
+    def test_case_e1_exit_code(self, measure, code, paths, capsys):
+        argv = ["entropy", "--input", paths["hyp-e1.json"], "--measure", measure]
+        assert _run(argv, capsys)[0] == code
+
+    @pytest.mark.parametrize("name", REAL_ZERO_FILES)
+    @pytest.mark.parametrize("basis", BASES)
+    def test_collision_is_renyi_2(self, name, basis, paths, capsys):
+        argv = ["entropy", "--input", paths[name], "--basis", basis]
+        code, coll = _run(argv + ["--measure", "collision"], capsys)
+        assert code == EXIT_OK
+        _, ren = _run(argv + ["--measure", "renyi", "--order", "2"], capsys)
+        assert coll.splitlines()[1].split(",")[3:] \
+            == ren.splitlines()[1].split(",")[3:]
+
+    def test_renyi_extropy_hyp_rejects_order_zero(self, paths, capsys):
+        argv = ["entropy", "--input", paths["hyp-full.csv"],
+                "--measure", "renyi_extropy_hyp", "--order", "0"]
+        assert _run(argv, capsys) == (EXIT_VALIDATION, "")
+
+
+def _measure_choices(command: str) -> list:
+    parser = build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return list(next(a for a in sub.choices[command]._actions
+                     if a.dest == "measure").choices)
+
+
+def test_measure_choices_are_the_registry():
+    assert _measure_choices("entropy") == sorted(measures.MEASURES)
+    routes = {"shannon_via_generating", "strong_shannon_via_generating"}
+    assert set(_measure_choices("stability")) == set(measures.MEASURES) - routes

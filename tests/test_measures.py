@@ -185,6 +185,13 @@ class TestHartleyCollision:
         assert abs(collision(dist(p)) - oracle_collision(p)) < 1e-13
         assert hartley(dist(p)) == oracle_hartley(p)
 
+    def test_collision_is_renyi_two_bit_for_bit_with_zeros(self):
+        # Twelve states with two zeros: an unmasked sum of p**2 groups the
+        # terms differently and differs from the Renyi-2 value in the last bit.
+        P = dist([0.08, 0.08, 0.0, 0.0, 0.1, 0.12, 0.18, 0.12, 0.06, 0.08,
+                  0.08, 0.1])
+        assert collision(P) == renyi(P, 2.0) == collision_hyp(embed(P)).x1
+
 
 class TestRenyiExtropy:
     def test_against_oracle(self, rng):
@@ -200,6 +207,19 @@ class TestRenyiExtropy:
     def test_single_state_warns(self):
         with pytest.warns(UserWarning):
             assert renyi_extropy(dist([1.0]), 2.0) == 0.0
+
+    @pytest.mark.parametrize("q, error", [
+        (-1.0, NegativeOrder), (math.nan, NonFinite), (math.inf, NonFinite),
+    ])
+    def test_order_domain_is_renyis(self, q, error):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error):
+                renyi_extropy(uniform(3), q)
+
+    def test_order_zero_allowed(self):
+        P = dist(P_MIXED)
+        assert renyi_extropy(P, 0.0) == 2.0 * (math.log(3.0) - math.log(2.0))
 
 
 class TestGeneratingFunctionRoute:
@@ -343,6 +363,12 @@ class TestRenyiHypMixed:
         got = renyi_hyp_mixed(fixture_b, ONE)
         assert got == strong_shannon_hyp(fixture_b)
 
+    def test_rejects_nonfinite_order(self, fixture_b):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFinite):
+                renyi_hyp_mixed(fixture_b, HyperbolicNumber(math.inf, 2.0))
+
 
 class TestRenyiHypLimit:
     def test_uniform_three(self):
@@ -421,6 +447,16 @@ class TestRenyiExtropyHyp:
     def test_rejects_order_on_zero_divisor_line(self, fixture_b):
         with pytest.raises(OrderOnZeroDivisorLine):
             renyi_extropy_hyp(fixture_b, HyperbolicNumber(2.0, 1.0))
+
+    @pytest.mark.parametrize("alpha, error", [
+        (ZERO, NonPositiveOrder),
+        (HyperbolicNumber(math.inf, 2.0), NonFinite),
+    ], ids=["zero", "inf,2"])
+    def test_order_domain_is_renyi_hyps(self, fixture_b, alpha, error):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error):
+                renyi_extropy_hyp(fixture_b, alpha)
 
     def test_single_state_returns_zero_with_warning(self):
         B = validate([(1.0, 1.0)])

@@ -16,6 +16,7 @@ from hypentropy import (
     approx_eq,
     embed,
     embed_real,
+    extropy,
     lesche_norm,
     lesche_norm_hyp,
     perturbation_family,
@@ -25,6 +26,7 @@ from hypentropy import (
 )
 from hypentropy.cli import main
 from hypentropy.distributions import FAMILIES
+from hypentropy.measures import MEASURES
 from hypentropy.errors import (
     CaseMismatch,
     DegenerateN,
@@ -209,14 +211,14 @@ class TestSweep:
         # The sweep and stability_ratio share one pair evaluator; every clean
         # record must equal the single-measure call bit for bit.
         alpha = HyperbolicNumber(0.5, 2.0)
-        config = self.make_config(
-            families=FAMILIES,
-            measures=(("shannon", None), ("renyi", alpha),
-                      ("strong_shannon_hyp", None), ("renyi_hyp", alpha)),
-            seed=5,
-        )
+        selection = tuple(
+            (name, alpha if m.check else None)
+            for name, m in MEASURES.items() if m.kernel is not None)
+        assert len(selection) == 12
+        config = self.make_config(families=FAMILIES, measures=selection,
+                                  seed=5)
         records = stability_sweep(config)
-        assert len(records) == 3 * 2 * 2 * 4
+        assert len(records) == 3 * 2 * 2 * 12
         assert all(r.error is None for r in records)
         for rec in records:
             pair = perturbation_family(
@@ -224,6 +226,17 @@ class TestSweep:
                 seed=derive_seed(config.seed, rec.family, rec.n, rec.delta))
             single = stability_ratio(rec.measure, pair, rec.order)
             assert repr(single) == repr(rec)
+
+    def test_extropy_ratio_from_public_function(self):
+        config = self.make_config(families=FAMILIES,
+                                  measures=(("extropy", None),), seed=5)
+        for rec in stability_sweep(config):
+            pair = perturbation_family(
+                rec.family, rec.n, rec.delta,
+                seed=derive_seed(config.seed, rec.family, rec.n, rec.delta))
+            want = abs(extropy(pair.base) - extropy(pair.perturbed)) \
+                / math.log(rec.n)
+            assert rec.ratio == embed_real(want)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(HypentropyError):
