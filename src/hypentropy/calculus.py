@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from .errors import (
     OutsideDomain,
 )
 from .hyperbolic import (
-    ONE,
     HyperbolicInterval,
     HyperbolicNumber,
     embed_real,
@@ -51,8 +50,9 @@ LIMIT_TOL = 1e-8
 LIMIT_STEPS = tuple(10.0 ** (-3 - n) for n in range(11))
 LHOPITAL_TOL = 1e-6
 CONCAVITY_SLACK = 1e-10
-# Samples drawn per block by concavity_probe; an early exit wastes at most
-# one block of draws.
+# Samples per block of concavity_probe: each block is drawn and tested as
+# numpy arrays, and an early exit stops at the end of the block in which both
+# witness lists fill, so it evaluates at most one block too many.
 _PROBE_CHUNK = 1024
 
 RealFn = Callable[[float], float]
@@ -279,19 +279,10 @@ class ConcavityResult:
     convex_witnesses: list = field(default_factory=list)
 
 
-def _probe_draws(rng: Xoshiro256StarStar, lo: HyperbolicNumber,
-                 hi: HyperbolicNumber, samples: int) -> Iterator[list]:
-    """Per sample: two x1 uniforms, two x2 uniforms, then lambda's two weights.
-
-    Drawn in blocks, in the order the six draws of one sample come from the
-    stream; lo + (hi - lo) * r is the float arithmetic of ``rng.uniform``.
-    """
-    low = np.array([lo.x1, lo.x1, lo.x2, lo.x2, 0.0, 0.0])
-    span = np.array([hi.x1, hi.x1, hi.x2, hi.x2, 1.0, 1.0]) - low
-    for start in range(0, samples, _PROBE_CHUNK):
-        k = min(_PROBE_CHUNK, samples - start)
-        # tolist gives Python floats, which is what the witnesses carry.
-        yield from (low + span * rng.randoms(6 * k).reshape(k, 6)).tolist()
+def _witnesses(found: np.ndarray, room: int, *coords: np.ndarray) -> list:
+    """The first ``room`` found samples as (xi, chi, lambda), Python floats."""
+    return [tuple(HyperbolicNumber(*x[:, i].tolist()) for x in coords)
+            for i in found[:max(room, 0)]]
 
 
 def concavity_probe(
@@ -307,6 +298,9 @@ def concavity_probe(
     Draws comparable pairs xi preceq chi and hyperbolic weights lambda in
     [0, 1_D], and tests F((1-l)xi + l chi) against (1-l)F(xi) + l F(chi)
     componentwise.  A verdict of True means "no violation found", not a proof.
+    Samples are tested ``_PROBE_CHUNK`` at a time as arrays; F's coordinate
+    functions run once per element on Python floats, and the witnesses are
+    the first violations in sample order.
     """
     comp = _as_component(F)
     dom = domain if domain is not None else comp.domain
@@ -316,27 +310,47 @@ def concavity_probe(
     if not (lo.x1 < hi.x1 and lo.x2 < hi.x2):
         raise EmptyDomain(f"degenerate interval [{lo}, {hi}]")
 
+    fs = (comp.f1, comp.f2)
+
+    def values(x: np.ndarray) -> np.ndarray:
+        # F's coordinate functions, called once per element on Python floats.
+        return np.array([list(map(f, row)) for f, row in zip(fs, x.tolist())],
+                        dtype=float)
+
+    # Per sample: two x1 uniforms, two x2 uniforms, then lambda's two weights,
+    # in the order they come from the stream; lo + (hi - lo) * r is the float
+    # arithmetic of ``rng.uniform``.
+    low = np.array([lo.x1, lo.x1, lo.x2, lo.x2, 0.0, 0.0])
+    span = np.array([hi.x1, hi.x1, hi.x2, hi.x2, 1.0, 1.0]) - low
     rng = Xoshiro256StarStar(seed)
     concave = True
     convex = True
     concave_witnesses: list = []
     convex_witnesses: list = []
-    for u1, v1, u2, v2, l1, l2 in _probe_draws(rng, lo, hi, samples):
-        a1, b1 = sorted((u1, v1))
-        a2, b2 = sorted((u2, v2))
-        xi = HyperbolicNumber(a1, a2)
-        chi = HyperbolicNumber(b1, b2)
-        lam = HyperbolicNumber(l1, l2)
-        mid = comp((ONE - lam) * xi + lam * chi)
-        bound = (ONE - lam) * comp(xi) + lam * comp(chi)
-        if mid.x1 > bound.x1 + slack or mid.x2 > bound.x2 + slack:
+    for start in range(0, samples, _PROBE_CHUNK):
+        k = min(_PROBE_CHUNK, samples - start)
+        draws = (low + span * rng.randoms(6 * k).reshape(k, 6)).T
+        # Row j of a, b and lam is idempotent coordinate j + 1, column i is
+        # sample i; each element sees the float operations of the
+        # HyperbolicNumber arithmetic, in the same order.
+        a = np.minimum(draws[0:4:2], draws[1:4:2])
+        b = np.maximum(draws[0:4:2], draws[1:4:2])
+        lam = draws[4:]
+        mid = values((1.0 - lam) * a + lam * b)
+        fa, fb = values(a), values(b)
+        # Like Python floats, an infinite F value gives inf or nan unwarned.
+        with np.errstate(over="ignore", invalid="ignore"):
+            bound = (1.0 - lam) * fa + lam * fb
+        above = np.flatnonzero((mid > bound + slack).any(axis=0))
+        below = np.flatnonzero((mid < bound - slack).any(axis=0))
+        if above.size:
             convex = False
-            if len(convex_witnesses) < max_witnesses:
-                convex_witnesses.append((xi, chi, lam))
-        if mid.x1 < bound.x1 - slack or mid.x2 < bound.x2 - slack:
+            convex_witnesses += _witnesses(
+                above, max_witnesses - len(convex_witnesses), a, b, lam)
+        if below.size:
             concave = False
-            if len(concave_witnesses) < max_witnesses:
-                concave_witnesses.append((xi, chi, lam))
+            concave_witnesses += _witnesses(
+                below, max_witnesses - len(concave_witnesses), a, b, lam)
         if not concave and not convex \
                 and len(concave_witnesses) >= max_witnesses \
                 and len(convex_witnesses) >= max_witnesses:

@@ -84,6 +84,13 @@ def _hartley_coordinate(p: np.ndarray) -> float:
     return math.log(p.size)
 
 
+def _log_sum(terms: np.ndarray) -> float:
+    """log(sum terms); -inf, without a divide-by-zero warning, when every
+    term underflowed to 0 (a large order), so the value check can reject it."""
+    total = terms.sum()
+    return float(np.log(total)) if total > 0.0 else -math.inf
+
+
 def _renyi_coordinate(p: np.ndarray, a: float) -> float:
     """log(sum p**a) / (1 - a) over the positive entries of p; orders 0 and 1
     are the Hartley and the Shannon entropy."""
@@ -91,8 +98,7 @@ def _renyi_coordinate(p: np.ndarray, a: float) -> float:
         return _hartley_coordinate(p)
     if a == 1.0:
         return _neg_xlogx_sum(p)
-    mask = p > 0.0
-    return float(np.log((p[mask] ** a).sum()) / (1.0 - a))
+    return _log_sum(p[p > 0.0] ** a) / (1.0 - a)
 
 
 def _collision_coordinate(p: np.ndarray) -> float:
@@ -106,7 +112,7 @@ def _renyi_extropy_coordinate(p: np.ndarray, a: float) -> float:
     if n == 1:
         warnings.warn("Renyi extropy of a single state is 0 by convention")
         return 0.0
-    comp = float(np.log(((1.0 - p) ** a).sum()))
+    comp = _log_sum((1.0 - p) ** a)
     return ((n - 1.0) * (comp - math.log(n - 1.0))) / (1.0 - a)
 
 
@@ -175,9 +181,13 @@ class Measure:
         return (order.x1,), (order.x1,)
 
     def value(self, v1: float, v2: float) -> HyperbolicNumber:
-        """Coordinate values as a hyperbolic number; a real value v1 becomes
-        v1 * 1_D, which rejects a non-finite value."""
-        return HyperbolicNumber(v1, v2) if self.hyperbolic else embed_real(v1)
+        """Coordinate values as a hyperbolic number, or a real value v1 as
+        v1 * 1_D; a non-finite value raises ``NonFinite``."""
+        if not self.hyperbolic:
+            return embed_real(v1)
+        if not (math.isfinite(v1) and math.isfinite(v2)):
+            raise NonFinite(f"measure value ({v1!r}, {v2!r}) is not finite")
+        return HyperbolicNumber(v1, v2)
 
 
 def _real(name: str, P: RealDistribution, *q: float) -> float:
@@ -185,7 +195,8 @@ def _real(name: str, P: RealDistribution, *q: float) -> float:
     m = MEASURES[name]
     if m.check is not None:
         m.check(*q)
-    return m.kernel(P.p, *q)
+    v = m.kernel(P.p, *q)
+    return m.value(v, v).x1
 
 
 def _require_full(B: HyperbolicDistribution, measure: str) -> None:
@@ -203,7 +214,7 @@ def _lift(name: str, B: HyperbolicDistribution,
     if not m.any_case:
         _require_full(B, name)
     a1, a2 = m.order_args(name, alpha)
-    return HyperbolicNumber(m.kernel(B.p1, *a1), m.kernel(B.p2, *a2))
+    return m.value(m.kernel(B.p1, *a1), m.kernel(B.p2, *a2))
 
 
 def evaluate(
@@ -255,10 +266,15 @@ def extropy_duality_check(P: RealDistribution) -> DualityResult:
 
     J(P) should equal sum_s [-p_s log p_s - (1-p_s) log(1-p_s)] - S(P); the
     symmetric identity (with S and J swapped) is the same equation rearranged,
-    so one pair of sides certifies both directions.
+    so one pair of sides certifies both directions.  The right-hand side sums
+    the per-state binary entropies with ``math.fsum``, apart from the extropy
+    kernel, so a wrong extropy formula shows as a gap between the sides.
     """
-    binary_sum = shannon(P) + extropy(P)
-    return DualityResult(lhs=extropy(P), rhs=binary_sum - shannon(P))
+    binary = np.zeros_like(P.p)
+    for x in (P.p, 1.0 - P.p):
+        pos = x > 0.0
+        binary[pos] -= x[pos] * np.log(x[pos])
+    return DualityResult(lhs=extropy(P), rhs=math.fsum(binary) - shannon(P))
 
 
 def renyi(P: RealDistribution, q: float) -> float:
@@ -352,7 +368,7 @@ def renyi_hyp_mixed(
     evaluated as Shannon entropy.  Convenience beyond the strict definition."""
     _require_full(B, "renyi_hyp_mixed")
     _check_positive_finite(alpha)
-    return HyperbolicNumber(
+    return MEASURES["renyi_hyp"].value(
         _renyi_coordinate(B.p1, alpha.x1), _renyi_coordinate(B.p2, alpha.x2)
     )
 

@@ -23,12 +23,14 @@ from hypentropy import (
     hyp_limit,
     lhopital_check,
 )
+from hypentropy.calculus import CONCAVITY_SLACK, ConcavityResult
 from hypentropy.errors import (
     EmptyDomain,
     HypothesisViolated,
     NonConvergent,
     OutsideDomain,
 )
+from hypentropy.rng import Xoshiro256StarStar
 
 SQUARE = ComponentFunction.symmetric(lambda x: x * x)
 CUBE = ComponentFunction.symmetric(lambda x: x ** 3)
@@ -241,6 +243,85 @@ class TestConcavityProbe:
     def test_needs_domain(self):
         with pytest.raises(EmptyDomain):
             concavity_probe(SQUARE, samples=10)
+
+
+def _probe_oracle(F, samples, seed, domain, max_witnesses=3,
+                  slack=CONCAVITY_SLACK):
+    """The probe one sample at a time: scalar draws and HyperbolicNumber
+    arithmetic, stopping right after the sample that fills both lists."""
+    rng = Xoshiro256StarStar(seed)
+    lo, hi = domain.lo, domain.hi
+    concave = convex = True
+    concave_w, convex_w = [], []
+    for _ in range(samples):
+        u1, v1 = rng.uniform(lo.x1, hi.x1), rng.uniform(lo.x1, hi.x1)
+        u2, v2 = rng.uniform(lo.x2, hi.x2), rng.uniform(lo.x2, hi.x2)
+        lam = HyperbolicNumber(rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0))
+        a1, b1 = sorted((u1, v1))
+        a2, b2 = sorted((u2, v2))
+        xi, chi = HyperbolicNumber(a1, a2), HyperbolicNumber(b1, b2)
+        mid = F((ONE - lam) * xi + lam * chi)
+        bound = (ONE - lam) * F(xi) + lam * F(chi)
+        if mid.x1 > bound.x1 + slack or mid.x2 > bound.x2 + slack:
+            convex = False
+            if len(convex_w) < max_witnesses:
+                convex_w.append((xi, chi, lam))
+        if mid.x1 < bound.x1 - slack or mid.x2 < bound.x2 - slack:
+            concave = False
+            if len(concave_w) < max_witnesses:
+                concave_w.append((xi, chi, lam))
+        if not concave and not convex and len(concave_w) >= max_witnesses \
+                and len(convex_w) >= max_witnesses:
+            break
+    return ConcavityResult(concave, convex, concave_w, convex_w)
+
+
+# name -> (F, order interval, seed, max_witnesses, slack).  x^2 on e1 and
+# sqrt on e2 violates both inequalities at every sample, so with 1500
+# witnesses "mixed" fills both lists inside the second 1024-sample block.
+# With no slack, an affine F fails either inequality only by rounding, so
+# "affine-exact" pins the float operations of the mix and the bound.
+MIXED = ComponentFunction(lambda x: x * x, lambda x: x ** 0.5)
+AFFINE = ComponentFunction.symmetric(lambda x: 3.0 * x + 1.0)
+PROBE_CASES = {
+    "log": (LOG, (0.1, 2.0), 11, 3, CONCAVITY_SLACK),
+    "mixed": (MIXED, (0.1, 1.0), 3, 1500, CONCAVITY_SLACK),
+    "mixed-no-witnesses": (MIXED, (0.1, 1.0), 4, 0, CONCAVITY_SLACK),
+    "affine": (AFFINE, (0.0, 1.0), 5, 3, CONCAVITY_SLACK),
+    "affine-exact": (AFFINE, (0.3, 7.0), 6, 2000, 0.0),
+    "square": (SQUARE, (0.0, 1.0), 7, 3, CONCAVITY_SLACK),
+}
+
+
+class TestBlockProbeMatchesPerSampleOracle:
+    @pytest.mark.parametrize("samples", [0, 1, 1023, 1024, 1025, 2049])
+    @pytest.mark.parametrize("name", sorted(PROBE_CASES))
+    def test_same_repr(self, name, samples):
+        F, (lo, hi), seed, max_witnesses, slack = PROBE_CASES[name]
+        box = HyperbolicInterval(embed_real(lo), embed_real(hi))
+        got = concavity_probe(F, samples=samples, seed=seed, slack=slack,
+                              domain=box, max_witnesses=max_witnesses)
+        want = _probe_oracle(F, samples, seed, box, max_witnesses, slack)
+        assert repr(got) == repr(want)
+        for xi, chi, lam in got.concave_witnesses + got.convex_witnesses:
+            for x in (xi, chi, lam):
+                assert type(x.x1) is float and type(x.x2) is float
+
+    def test_stops_after_the_block_that_fills_both_lists(self):
+        calls = []
+
+        def square(x):
+            calls.append(x)
+            return x * x
+
+        F = ComponentFunction(square, MIXED.f2)
+        box = HyperbolicInterval(embed_real(0.1), ONE)
+        res = concavity_probe(F, samples=10_000, seed=3, domain=box,
+                              max_witnesses=1500)
+        assert len(res.convex_witnesses) == len(res.concave_witnesses) == 1500
+        # f1 runs on mix, xi and chi of each sample in two blocks of 1024.
+        assert len(calls) == 3 * 2048
+        assert all(type(x) is float for x in calls)
 
 
 class TestBasisViews:

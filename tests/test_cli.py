@@ -151,6 +151,16 @@ class TestEntropyCommand:
         assert code == EXIT_VALIDATION
         assert capsys.readouterr().err.startswith("error: NonFinite: ")
 
+    def test_infinite_value_exits_2_without_warning(self, real_path, capsys):
+        # 0.5**2000 underflows to 0, so the e1 coordinate is log 0 / -1999.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["entropy", "--input", real_path,
+                         "--measure", "renyi_hyp", "--order", "2000,2"])
+        assert code == EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: NonFinite: ")
+
 
 class TestStabilityCommand:
     ARGS = ["stability", "--family", "CertaintySpread",
@@ -198,6 +208,17 @@ class TestStabilityCommand:
         header = capsys.readouterr().out.splitlines()[0]
         assert header == ("family,measure,order_e1,order_e2,N,delta,"
                           "norm_e1,norm_e2,ratio_e1,ratio_e2,error")
+
+    def test_infinite_value_is_an_error_row(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["stability", "--family", "UniformSpike",
+                         "--N-grid", "100000", "--delta-grid", "0.01",
+                         "--measure", "renyi_hyp", "--order", "1000,2"])
+        assert code == EXIT_OK
+        rows = capsys.readouterr().out.splitlines()
+        assert rows[1] == ("UniformSpike,renyi_hyp,1000,2,100000,0.01,"
+                           "nan,nan,nan,nan,NonFinite")
 
     def test_empty_grid_exits_2(self):
         code = main(["stability", "--family", "CertaintySpread",

@@ -48,6 +48,7 @@ from hypentropy.errors import (
     ZeroComponent,
     ZeroProbability,
 )
+from hypentropy.measures import MEASURES, Measure, evaluate
 
 from conftest import (
     oracle_collision,
@@ -123,6 +124,47 @@ class TestDuality:
             P = dist(rng.dirichlet(np.ones(n)))
             res = extropy_duality_check(P)
             assert abs(res.lhs - res.rhs) < 1e-10
+
+    @pytest.mark.parametrize("wrong", [
+        MEASURES["shannon"].kernel,
+        lambda p, j=MEASURES["extropy"].kernel: j(p) / math.log(2.0),
+        lambda p, j=MEASURES["extropy"].kernel: j(p) * (1.0 + 1e-9),
+    ], ids=["shannon-kernel", "log2", "relative-1e-9"])
+    def test_wrong_extropy_kernel_fails(self, monkeypatch, wrong):
+        P = dist(P_MIXED)
+        exact = extropy_duality_check(P)
+        monkeypatch.setitem(MEASURES, "extropy", Measure(wrong))
+        res = extropy_duality_check(P)
+        assert res.lhs == wrong(P.p)
+        assert res.rhs == exact.rhs
+        assert abs(res.lhs - res.rhs) > 1e-10
+
+
+class TestNonFiniteValue:
+    """A value that overflows to infinity raises NonFinite, with no warning:
+    at order 2000, 0.5**2000 underflows to 0 and log 0 = -inf."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: renyi(uniform(2), 2000.0),
+        lambda: renyi_extropy(uniform(2), 2000.0),
+        lambda: renyi_hyp(uniform_hyp(2), HyperbolicNumber(2000.0, 2.0)),
+        lambda: renyi_hyp(uniform_hyp(2), HyperbolicNumber(2.0, 2000.0)),
+        lambda: renyi_hyp_mixed(uniform_hyp(2), HyperbolicNumber(1.0, 2000.0)),
+        lambda: renyi_extropy_hyp(uniform_hyp(2), HyperbolicNumber(2000.0, 2.0)),
+        lambda: evaluate("renyi_hyp", uniform(2), HyperbolicNumber(2000.0, 2.0)),
+        lambda: evaluate("renyi", uniform(2), embed_real(2000.0)),
+    ], ids=["renyi", "renyi_extropy", "renyi_hyp-e1", "renyi_hyp-e2",
+            "renyi_hyp_mixed", "renyi_extropy_hyp", "evaluate-hyp",
+            "evaluate-real"])
+    def test_raises_without_warning(self, call):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFinite):
+                call()
+
+    def test_large_finite_order_still_evaluates(self):
+        got = renyi_hyp(uniform_hyp(2), HyperbolicNumber(1000.0, 2.0))
+        assert abs(got.x1 - math.log(2.0)) < 1e-12
 
 
 class TestRenyi:

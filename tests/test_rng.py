@@ -99,7 +99,9 @@ def test_numpy_integer_count():
 
 
 @pytest.mark.parametrize("a,b", [(1, 1023), (1023, 1), (1023, 2), (512, 513),
-                                 (1024, 35976), (36999, 1), (50_000, 50_000)])
+                                 (1024, 35976), (36999, 1), (50_000, 50_000),
+                                 (255, 768), (256, 767), (257, 768),
+                                 (768, 255), (767, 257), (256, 36744)])
 def test_split_draws_continue_the_stream(a, b):
     for seed in (0, 1, MAX_SEED):
         rng = Xoshiro256StarStar(seed)
@@ -109,7 +111,7 @@ def test_split_draws_continue_the_stream(a, b):
         assert rng._s == state
 
 
-@pytest.mark.parametrize("n", [0, 1, 1024, 4097, 70_001])
+@pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 1024, 4097, 70_001])
 def test_randoms_match_scalar_oracle(n):
     block = Xoshiro256StarStar(20_251_018)
     scalar = Xoshiro256StarStar(20_251_018)
