@@ -310,12 +310,10 @@ def concavity_probe(
     if not (lo.x1 < hi.x1 and lo.x2 < hi.x2):
         raise EmptyDomain(f"degenerate interval [{lo}, {hi}]")
 
-    fs = (comp.f1, comp.f2)
-
     def values(x: np.ndarray) -> np.ndarray:
         # F's coordinate functions, called once per element on Python floats.
-        return np.array([list(map(f, row)) for f, row in zip(fs, x.tolist())],
-                        dtype=float)
+        return np.array([list(map(f, row)) for f, row
+                         in zip((comp.f1, comp.f2), x.tolist())], dtype=float)
 
     # Per sample: two x1 uniforms, two x2 uniforms, then lambda's two weights,
     # in the order they come from the stream; lo + (hi - lo) * r is the float
