@@ -18,6 +18,8 @@ import json
 import sys
 from typing import Optional, Sequence, Union
 
+import numpy as np
+
 from . import distributions as dist
 from . import measures
 from .errors import HypentropyError, NonConvergent, ParseError
@@ -55,22 +57,27 @@ def _parse_order(text: str) -> HyperbolicNumber:
 def _load_distribution(path: str
                        ) -> Union[dist.RealDistribution, dist.HyperbolicDistribution]:
     # Malformed text (undecodable bytes, bad or too deeply nested JSON, a
-    # missing key, a non-numeric cell) raises plain Python errors; they
-    # become one typed ParseError.  OSError passes through as an I/O failure.
+    # missing key, a non-numeric cell, an integer too large for a float)
+    # raises plain Python errors; they become one typed ParseError.  OSError
+    # passes through as an I/O failure.
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
         stripped = text.lstrip()
-        first_line = stripped.splitlines()[0].strip() if stripped else ""
         if stripped.startswith("{"):
             return dist.hyp_from_json(text)
         if stripped.startswith("["):
             return dist.real_from_json(text)
+        # Only the header line is split off, not the whole text.
+        end = stripped.find("\n")
+        first_line = stripped[:end] if end >= 0 else stripped
+        first_line = first_line.splitlines()[0].strip() if first_line else ""
         if first_line.replace(" ", "") == "p1,p2":
             return dist.hyp_from_csv(text)
         if first_line == "p":
             return dist.real_from_csv(text)
-    except (ValueError, KeyError, TypeError, IndexError, RecursionError) as exc:
+    except (ValueError, KeyError, TypeError, IndexError, OverflowError,
+            RecursionError) as exc:
         raise ParseError(f"malformed distribution in {path!r}: "
                          f"{type(exc).__name__}: {exc}") from None
     raise ParseError(f"unrecognized distribution format in {path!r}")
@@ -207,7 +214,6 @@ def cmd_stability(args: argparse.Namespace) -> int:
 def cmd_limits(args: argparse.Namespace) -> int:
     D = _load_distribution(args.input)
     B = dist.embed(D) if isinstance(D, dist.RealDistribution) else D
-    import numpy as np
     if np.any(B.p1 <= 0.0) or np.any(B.p2 <= 0.0):
         raise HypentropyError("limits require strictly positive components")
 

@@ -12,9 +12,12 @@ from __future__ import annotations
 import csv
 import enum
 import io
+import itertools
 import json
+import math
+import warnings
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Optional
 
 import numpy as np
 
@@ -54,6 +57,19 @@ class Case(enum.Enum):
     E2_ONLY = "e2"
 
 
+def _check_components(p: np.ndarray, noun: str) -> None:
+    """Every entry of a non-empty p in [0, 1]."""
+    lo = float(p.min())
+    # The minimum is NaN when any entry is, and NaN fails every comparison.
+    if not lo >= 0:
+        if math.isnan(lo):
+            raise NegativeComponent("probability is NaN")
+        raise NegativeComponent(f"negative {noun} {lo!r}")
+    hi = float(p.max())
+    if hi > 1 + SUM_TOL:
+        raise ComponentExceedsOne(f"{noun} {hi!r} exceeds 1")
+
+
 @dataclass(frozen=True)
 class RealDistribution:
     """Finite probability vector; entries in [0, 1] summing to 1."""
@@ -64,14 +80,7 @@ class RealDistribution:
         object.__setattr__(self, "p", np.asarray(self.p, dtype=float))
         if self.p.ndim != 1 or self.p.size < 1:
             raise SumInvalid("a distribution needs at least one entry")
-        # Written as "not all >= 0" so that NaN, which fails every
-        # comparison, is caught in the same pass.
-        if not np.all(self.p >= 0):
-            if np.isnan(self.p).any():
-                raise NegativeComponent("probability is NaN")
-            raise NegativeComponent(f"negative probability {float(self.p.min())!r}")
-        if np.any(self.p > 1 + SUM_TOL):
-            raise ComponentExceedsOne(f"probability {float(self.p.max())!r} exceeds 1")
+        _check_components(self.p, "probability")
         total = float(self.p.sum())
         if abs(total - 1.0) > SUM_TOL:
             raise SumInvalid(f"probabilities sum to {total!r}, expected 1")
@@ -84,13 +93,50 @@ class RealDistribution:
         return iter(self.p)
 
 
+def _case_of(s1: float, s2: float) -> Optional[Case]:
+    """The case whose component sums are (s1, s2), or None."""
+    one1 = abs(s1 - 1.0) <= SUM_TOL
+    one2 = abs(s2 - 1.0) <= SUM_TOL
+    if one1 and one2:
+        return Case.FULL
+    if one1 and s2 <= SUM_TOL:
+        return Case.E1_ONLY
+    if one2 and s1 <= SUM_TOL:
+        return Case.E2_ONLY
+    return None
+
+
 @dataclass(frozen=True)
 class HyperbolicDistribution:
-    """Vector of hyperbolic numbers stored by idempotent projection."""
+    """Vector of hyperbolic numbers stored by idempotent projection.
+
+    Both projections hold components in [0, 1] whose sums fit ``case``;
+    anything else raises at construction.
+    """
 
     p1: np.ndarray
     p2: np.ndarray
     case: Case
+
+    def __post_init__(self) -> None:
+        p1 = np.asarray(self.p1, dtype=float)
+        p2 = np.asarray(self.p2, dtype=float)
+        object.__setattr__(self, "p1", p1)
+        object.__setattr__(self, "p2", p2)
+        if p1.ndim != 1 or p1.shape != p2.shape:
+            raise LengthMismatch(f"projection shapes {p1.shape} and {p2.shape}")
+        if not p1.size:
+            raise SumInvalid("empty distribution")
+        _check_components(p1, "component")
+        _check_components(p2, "component")
+        s1 = float(p1.sum())
+        s2 = float(p2.sum())
+        found = _case_of(s1, s2)
+        if found is not self.case:
+            message = f"component sums ({s1!r}, {s2!r})"
+            if found is not None:
+                message += f" fit case {found.value}, not {self.case.value}"
+            raise SumInvalid(message)
 
     @property
     def n(self) -> int:
@@ -113,32 +159,27 @@ class HyperbolicDistribution:
         return RealDistribution(self.p2.copy())
 
 
-def validate(raw: Iterable[tuple[float, float]]) -> HyperbolicDistribution:
-    """Classify raw (x1, x2) pairs into a hyperbolic distribution or reject.
+def validate(rows) -> HyperbolicDistribution:
+    """Classify (x1, x2) rows, an (N, 2) array-like, into a hyperbolic
+    distribution or reject them.
 
-    Mixed zero-divisor vectors (some entries pure e1, others pure e2) fall
-    through to the sum check and are rejected, since the degenerate cases
-    require every entry to share the divisor form.
+    The component sums pick the case; the constructor checks the
+    components, then the sums.  Mixed zero-divisor vectors (some entries pure
+    e1, others pure e2) fit no case and are rejected, since the degenerate
+    cases require every entry to share the divisor form.
     """
-    pairs = list(raw)
-    if not pairs:
-        raise SumInvalid("empty distribution")
-    p1 = np.array([a for a, _ in pairs], dtype=float)
-    p2 = np.array([b for _, b in pairs], dtype=float)
-    for arr in (p1, p2):
-        if np.any(arr < 0):
-            raise NegativeComponent(f"negative component {float(arr.min())!r}")
-        if np.any(arr > 1 + SUM_TOL):
-            raise ComponentExceedsOne(f"component {float(arr.max())!r} exceeds 1")
-    s1 = float(p1.sum())
-    s2 = float(p2.sum())
-    if abs(s1 - 1.0) <= SUM_TOL and abs(s2 - 1.0) <= SUM_TOL:
-        return HyperbolicDistribution(p1, p2, Case.FULL)
-    if abs(s1 - 1.0) <= SUM_TOL and s2 <= SUM_TOL:
-        return HyperbolicDistribution(p1, p2, Case.E1_ONLY)
-    if s1 <= SUM_TOL and abs(s2 - 1.0) <= SUM_TOL:
-        return HyperbolicDistribution(p1, p2, Case.E2_ONLY)
-    raise SumInvalid(f"component sums ({s1!r}, {s2!r})")
+    rows = np.asarray(rows, dtype=float)
+    if rows.shape == (0,):
+        rows = rows.reshape(0, 2)
+    if rows.ndim != 2 or rows.shape[1] != 2:
+        raise ValueError(f"expected (x1, x2) rows, got an array of shape {rows.shape}")
+    # One contiguous array per projection, so that every later reduction
+    # runs over contiguous memory.
+    p1, p2 = rows.T.copy()
+    case = _case_of(float(p1.sum()), float(p2.sum()))
+    # With no case to fit, FULL lets the constructor report the fault: a bad
+    # component before the sums.
+    return HyperbolicDistribution(p1, p2, case or Case.FULL)
 
 
 def embed(P: RealDistribution) -> HyperbolicDistribution:
@@ -170,7 +211,7 @@ def mix(
         raise LambdaOutOfRange(f"lambda {lam} outside [0, 1_D]")
     p1 = (1.0 - lam.x1) * A.p1 + lam.x1 * B.p1
     p2 = (1.0 - lam.x2) * A.p2 + lam.x2 * B.p2
-    return validate(zip(p1, p2))
+    return HyperbolicDistribution(p1, p2, A.case)
 
 
 @dataclass(frozen=True)
@@ -261,8 +302,17 @@ def hyp_to_json(B: HyperbolicDistribution) -> str:
 
 
 def hyp_from_json(text: str) -> HyperbolicDistribution:
+    """Read ``{"case": ..., "rho": [[x1, x2], ...]}``; "case" is optional, and
+    numbers may also be given as strings."""
     payload = json.loads(text)
-    B = validate((float(a), float(b)) for a, b in payload["rho"])
+    rho = payload["rho"]
+    if set(map(len, rho)) - {2}:
+        raise ValueError("every row of rho needs exactly two components")
+    cells = np.fromiter(itertools.chain.from_iterable(rho), float, 2 * len(rho))
+    # numpy reads a JSON null as NaN; keep it a malformed cell.
+    if np.isnan(cells).any() and None in itertools.chain.from_iterable(rho):
+        raise TypeError("a component is null")
+    B = validate(cells.reshape(-1, 2))
     declared = payload.get("case")
     if declared is not None and declared != B.case.value:
         raise CaseMismatch(
@@ -280,12 +330,27 @@ def hyp_to_csv(B: HyperbolicDistribution) -> str:
     return buf.getvalue()
 
 
+def _csv_cells(text: str, header: list[str]) -> np.ndarray:
+    """The cells under a CSV header line, as an (N, len(header)) array.
+
+    Cells are comma-separated numbers, optionally in double quotes; cells
+    past the header's columns are ignored, empty lines are skipped, and any
+    other line (a comment, a short row, a non-numeric cell) is a ValueError.
+    """
+    lines = text.split("\n")
+    if [h.strip() for h in next(csv.reader(lines[:1]))] != header:
+        raise SumInvalid(f"CSV input requires a {','.join(header)!r} header")
+    del lines[0]
+    with warnings.catch_warnings():
+        # No data lines give an empty array; the caller rejects it.
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        return np.loadtxt(lines, delimiter=",", comments=None, quotechar='"',
+                          usecols=range(len(header)), ndmin=2)
+
+
 def hyp_from_csv(text: str) -> HyperbolicDistribution:
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    if header is None or [h.strip() for h in header] != ["p1", "p2"]:
-        raise SumInvalid("hyperbolic CSV requires a 'p1,p2' header")
-    return validate((float(row[0]), float(row[1])) for row in reader if row)
+    """Read a ``p1,p2`` header line, then one ``x1,x2`` row per state."""
+    return validate(_csv_cells(text, ["p1", "p2"]))
 
 
 def real_to_json(P: RealDistribution) -> str:
@@ -306,10 +371,5 @@ def real_to_csv(P: RealDistribution) -> str:
 
 
 def real_from_csv(text: str) -> RealDistribution:
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    if header is None or [h.strip() for h in header] != ["p"]:
-        raise SumInvalid("real CSV requires a 'p' header")
-    return RealDistribution(
-        np.array([float(row[0]) for row in reader if row], dtype=float)
-    )
+    """Read a ``p`` header line, then one probability per line."""
+    return RealDistribution(_csv_cells(text, ["p"])[:, 0])

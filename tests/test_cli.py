@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import random
 import warnings
 
 import pytest
@@ -260,6 +261,62 @@ class TestMalformedInput:
         assert captured.err.startswith("error: ParseError: ")
 
 
+class TestMalformedCaseFullInput:
+    """What a case-full file's syntax gives: exit 2 with the named error, or
+    exit 0 with the output of the clean fixture.
+
+    Three rows differ from the per-cell Python ``float()`` reading these
+    loaders once used, each on purpose: ``1_0e-1`` is no CSV number (it
+    was read as 1.0, so the sums failed), a NaN component is a
+    NegativeComponent (it was a SumInvalid of NaN sums), and an integer too
+    large for a float is a ParseError (it was an uncaught OverflowError).
+    """
+
+    REJECTED = [
+        ("null-cell.json", '{"rho": [[0.5, null], [0.5, 0.75]]}', "ParseError"),
+        ("three-element-row.json", '{"rho": [[0.5, 0.25, 0.0], [0.5, 0.75]]}',
+         "ParseError"),
+        ("three-element-rows.json",
+         '{"rho": [[0.5, 0.25, 0.0], [0.5, 0.75, 0.0]]}', "ParseError"),
+        ("one-column-row.csv", "p1,p2\n0.5\n0.5,0.75\n", "ParseError"),
+        ("comment-line.csv", "p1,p2\n# note\n0.5,0.25\n0.5,0.75\n",
+         "ParseError"),
+        ("underscore-digits.csv", "p1,p2\n1_0e-1,0.25\n0.5,0.75\n",
+         "ParseError"),
+        ("nan-cell.json", '{"rho": [[NaN, 0.25], [0.5, 0.75]]}',
+         "NegativeComponent"),
+        ("huge-integer.json",
+         '{"rho": [[1' + "0" * 400 + ', 0.25], [0.5, 0.75]]}', "ParseError"),
+    ]
+
+    @pytest.mark.parametrize("name, text, error", REJECTED,
+                             ids=[case[0] for case in REJECTED])
+    def test_rejected(self, name, text, error, tmp_path, capsys):
+        path = tmp_path / name
+        path.write_text(text)
+        code = main(["entropy", "--input", str(path),
+                     "--measure", "strong_shannon_hyp"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (EXIT_VALIDATION, "")
+        assert captured.err.startswith(f"error: {error}: ")
+
+    @pytest.mark.parametrize("name, data", [
+        ("quoted-cells.csv", b'p1,p2\n"0.5","0.25"\n"0.5","0.75"\n'),
+        ("crlf-blank-line.csv", b"p1,p2\r\n0.5,0.25\r\n\r\n0.5,0.75\r\n"),
+        ("string-numbers.json", b'{"rho": [["0.5", "0.25"], ["0.5", "0.75"]]}'),
+        ("three-column-row.csv", b"p1,p2\n0.5,0.25,extra\n0.5,0.75\n"),
+    ], ids=["quoted-cells", "crlf-blank-line", "string-numbers",
+            "three-column-row"])
+    def test_accepted(self, name, data, hyp_path, tmp_path, capsys):
+        argv = ["entropy", "--measure", "strong_shannon_hyp", "--input"]
+        assert main(argv + [hyp_path]) == EXIT_OK
+        clean = capsys.readouterr().out
+        path = tmp_path / name
+        path.write_bytes(data)
+        assert main(argv + [str(path)]) == EXIT_OK
+        assert capsys.readouterr().out == clean
+
+
 class TestLimitsCommand:
     def test_fixture_converges(self, hyp_path, capsys):
         code = main(["limits", "--input", hyp_path])
@@ -465,3 +522,74 @@ def test_measure_choices_are_the_registry():
     assert _measure_choices("entropy") == sorted(measures.MEASURES)
     routes = {"shannon_via_generating", "strong_shannon_via_generating"}
     assert set(_measure_choices("stability")) == set(measures.MEASURES) - routes
+
+
+class TestGoldenLimitsOutput:
+    """SHA-256 of `hypentropy limits` exit code and stdout on generated files.
+
+    Recorded before the loaders read files as arrays and before the limit
+    routes shared their power sums.  One digest per distribution, real or
+    case-full, at N in {3, 1e3, 1e4}; its CSV and its JSON file must print
+    the same bytes.  The weights are drawn by Python's own generator and
+    normalised with basic float operations only, so the files do not depend
+    on a math library.
+    """
+
+    SIZES = (3, 1000, 10_000)
+    DIGESTS = {
+        "real-3":
+            "6301c9102ddf4990852471d0a4ff5ee454f05dcaf05d620c40764aa5d316f18c",
+        "real-1000":
+            "fd6286fea4984a5d76d8086966cf6e5ab53dcee121eb3edc0595d6693c0cc7af",
+        "real-10000":
+            "92a4e34455b2b71fd42efd2530dac464a6c51d5bef8185c37e805c5dec2441b9",
+        "hyp-3":
+            "4ed519f14930c0d80f4a9e6cffb9b16eaaabbb6693bdc3a2dd8694fa73623906",
+        "hyp-1000":
+            "f2fca43dfeea933094f62d6a79937afc002e6706152c4bd1b064aeab223f74f2",
+        "hyp-10000":
+            "54c721f43739863f6811053de2655c33dcda0c0c908913f4b92319183bd9be61",
+    }
+
+    @staticmethod
+    def weights(seed: int, n: int) -> list:
+        rng = random.Random(seed)
+        g = [0.05 + rng.random() for _ in range(n)]
+        total = sum(g)
+        return [x / total for x in g]
+
+    @classmethod
+    def files(cls, kind: str, n: int) -> dict:
+        p1 = cls.weights(n, n)
+        if kind == "real":
+            return {"csv": "p\n" + "".join(f"{a!r}\n" for a in p1),
+                    "json": json.dumps(p1)}
+        p2 = cls.weights(n + 1, n)
+        return {"csv": "p1,p2\n" + "".join(f"{a!r},{b!r}\n"
+                                           for a, b in zip(p1, p2)),
+                "json": json.dumps({"case": "full",
+                                    "rho": [[a, b] for a, b in zip(p1, p2)]})}
+
+    def outputs(self, kind, n, tmp_path, capsys, flags=()) -> dict:
+        result = {}
+        for fmt, text in self.files(kind, n).items():
+            path = tmp_path / f"{kind}-{n}.{fmt}"
+            path.write_text(text)
+            code, out = _run(["limits", "--input", str(path), *flags], capsys)
+            result[fmt] = f"{code}\n{out}"
+        return result
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("kind", ["real", "hyp"])
+    def test_output_digest(self, kind, n, tmp_path, capsys):
+        out = self.outputs(kind, n, tmp_path, capsys)
+        assert out["csv"] == out["json"]
+        digest = hashlib.sha256(out["csv"].encode()).hexdigest()
+        assert digest == self.DIGESTS[f"{kind}-{n}"]
+
+    def test_nonconvergent_exit_keeps_the_table(self, tmp_path, capsys):
+        plain = self.outputs("hyp", 3, tmp_path, capsys)["json"]
+        strict = self.outputs("hyp", 3, tmp_path, capsys, ("--tol", "0"))
+        assert strict["csv"] == strict["json"]
+        assert plain.startswith(f"{EXIT_OK}\n")
+        assert strict["json"] == f"{EXIT_NONCONVERGENT}\n" + plain.split("\n", 1)[1]

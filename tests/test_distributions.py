@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from hypentropy import (
     Case,
+    HyperbolicDistribution,
     HyperbolicNumber,
     RealDistribution,
     embed,
@@ -39,7 +40,8 @@ from hypentropy.errors import (
     NegativeComponent,
     SumInvalid,
 )
-from hypentropy.rng import derive_seed
+from hypentropy.rng import Xoshiro256StarStar, derive_seed
+from hypentropy.verify import _rand_full
 
 from conftest import random_full
 
@@ -109,6 +111,73 @@ class TestValidate:
         B = validate([(0.5, 0.25), (0.5, 0.75)])
         assert np.allclose(B.projection1().p, [0.5, 0.5])
         assert np.allclose(B.projection2().p, [0.25, 0.75])
+
+
+class TestConstructionChecks:
+    """HyperbolicDistribution checks its projections itself; validate only
+    picks the case."""
+
+    def test_negative_component_raises(self):
+        with pytest.raises(NegativeComponent, match="-0.5"):
+            HyperbolicDistribution([0.7, 0.7], [-0.5, 1.5], Case.FULL)
+
+    def test_nan_component_raises(self):
+        with pytest.raises(NegativeComponent, match="probability is NaN"):
+            HyperbolicDistribution([np.nan, 1.0], [0.5, 0.5], Case.FULL)
+        with pytest.raises(NegativeComponent, match="probability is NaN"):
+            validate([(0.5, np.nan), (0.5, 0.5)])
+
+    def test_component_above_one_raises(self):
+        with pytest.raises(ComponentExceedsOne):
+            HyperbolicDistribution([0.5, 0.5], [1.5, 0.0], Case.FULL)
+
+    def test_sums_must_fit_the_declared_case(self):
+        with pytest.raises(SumInvalid, match="fit case full, not e1"):
+            HyperbolicDistribution([0.3, 0.7], [0.4, 0.6], Case.E1_ONLY)
+        with pytest.raises(SumInvalid, match=r"^component sums \(0.5, 1.0\)$"):
+            HyperbolicDistribution([0.25, 0.25], [0.4, 0.6], Case.FULL)
+
+    def test_projection_shapes_must_match(self):
+        with pytest.raises(LengthMismatch):
+            HyperbolicDistribution([1.0], [0.5, 0.5], Case.FULL)
+
+    def test_sums_off_by_an_ulp_pass(self):
+        # The verify suite's random fixtures are normalised in floats, so
+        # their sums miss 1 by about an ulp.
+        sums = []
+        for seed in range(20):
+            B = _rand_full(Xoshiro256StarStar(seed), 7)
+            sums += [float(B.p1.sum()), float(B.p2.sum())]
+        assert any(s != 1.0 for s in sums)
+        assert max(abs(s - 1.0) for s in sums) < 1e-15
+
+    def test_component_fault_reported_before_sums(self):
+        # The sums (1.1, 0.4) fit no case, but the negative component is
+        # the fault that is named.
+        with pytest.raises(NegativeComponent):
+            validate([(0.5, 0.5), (0.6, -0.1)])
+
+    def test_validate_reads_an_array(self):
+        B = validate(np.array([[0.5, 0.25], [0.5, 0.75]]))
+        assert B.case is Case.FULL
+        assert B.p1.flags.c_contiguous and B.p2.flags.c_contiguous
+        assert np.array_equal(B.p2, [0.25, 0.75])
+
+    @pytest.mark.parametrize("rows", [[(0.5, 0.25, 0.0)], [[]], 0.5])
+    def test_validate_rejects_rows_that_are_not_pairs(self, rows):
+        with pytest.raises(ValueError):
+            validate(rows)
+
+    def test_validate_rejects_empty(self):
+        with pytest.raises(SumInvalid, match="empty"):
+            validate([])
+
+    def test_mix_keeps_a_degenerate_case(self):
+        A = validate([(0.3, 0.0), (0.7, 0.0)])
+        B = validate([(0.6, 0.0), (0.4, 0.0)])
+        M = mix(A, B, HyperbolicNumber(0.5, 0.25))
+        assert M.case is Case.E1_ONLY
+        assert np.array_equal(M.p1, 0.5 * A.p1 + 0.5 * B.p1)
 
 
 class TestEmbedAndUniform:
@@ -267,6 +336,57 @@ class TestSerialization:
             real_from_json("[0.5, 0.6]")
         with pytest.raises(SumInvalid):
             hyp_from_json('{"rho": [[0.5, 0.5], [0.6, 0.5]]}')
+
+
+class TestTextSyntax:
+    """The accepted CSV and JSON syntax of the loaders."""
+
+    def test_hyp_json_string_numbers(self):
+        B = hyp_from_json('{"rho": [["0.5", "0.25"], ["0.5", "0.75"]]}')
+        assert np.array_equal(B.p2, [0.25, 0.75])
+
+    @pytest.mark.parametrize("rho, error", [
+        ("[[0.5, null], [0.5, 0.75]]", TypeError),
+        ("[[0.5, 0.25, 0.0], [0.5, 0.75]]", ValueError),
+        ("[[0.5], [0.5]]", ValueError),
+        ("5", TypeError),
+    ])
+    def test_hyp_json_malformed_rows(self, rho, error):
+        with pytest.raises(error):
+            hyp_from_json('{"rho": %s}' % rho)
+
+    def test_hyp_json_empty(self):
+        with pytest.raises(SumInvalid, match="empty"):
+            hyp_from_json('{"rho": []}')
+
+    def test_hyp_csv_syntax(self):
+        # Quoted cells, CRLF line ends, blank lines, spaces around cells,
+        # and cells past the second column, which are ignored.
+        text = 'p1,p2\r\n"0.5", 0.25 ,x\r\n\r\n0.5,"0.75"\r\n'
+        B = hyp_from_csv(text)
+        assert np.array_equal(B.p1, [0.5, 0.5])
+        assert np.array_equal(B.p2, [0.25, 0.75])
+
+    @pytest.mark.parametrize("body", [
+        "# note\n0.5,0.25\n0.5,0.75\n",
+        "0.5\n0.5,0.75\n",
+        "0.5,\n0.5,0.75\n",
+        "1_0e-1,0.25\n0.5,0.75\n",
+        "0.5,0.25\n   \n0.5,0.75\n",
+    ], ids=["comment", "short-row", "empty-cell", "underscore", "blank-cells"])
+    def test_hyp_csv_malformed_rows(self, body):
+        with pytest.raises(ValueError):
+            hyp_from_csv("p1,p2\n" + body)
+
+    def test_csv_header_only(self):
+        with pytest.raises(SumInvalid, match="empty"):
+            hyp_from_csv("p1,p2\n")
+        with pytest.raises(SumInvalid):
+            real_from_csv("p\n")
+
+    def test_real_csv_ignores_extra_columns(self):
+        P = real_from_csv("p\n0.25,x\n0.75\n")
+        assert np.array_equal(P.p, [0.25, 0.75])
 
 
 class TestDeriveSeed:

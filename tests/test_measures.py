@@ -48,6 +48,7 @@ from hypentropy.errors import (
     ZeroComponent,
     ZeroProbability,
 )
+from hypentropy.calculus import LIMIT_STEPS
 from hypentropy.measures import MEASURES, Measure, evaluate
 
 from conftest import (
@@ -412,6 +413,18 @@ class TestRenyiHypMixed:
                 renyi_hyp_mixed(fixture_b, HyperbolicNumber(math.inf, 2.0))
 
 
+class _CountingArray(np.ndarray):
+    """An array that counts the ufunc calls it takes part in, by name."""
+
+    calls: dict = {}
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        _CountingArray.calls[ufunc.__name__] = \
+            _CountingArray.calls.get(ufunc.__name__, 0) + 1
+        plain = tuple(np.asarray(x) for x in inputs)
+        return getattr(ufunc, method)(*plain, **kwargs)
+
+
 class TestRenyiHypLimit:
     def test_uniform_three(self):
         got = renyi_hyp_limit(uniform_hyp(3))
@@ -429,6 +442,23 @@ class TestRenyiHypLimit:
         B = validate([(1.0, 0.5), (0.0, 0.5)])
         with pytest.raises(ZeroComponent):
             renyi_hyp_limit(B)
+
+    def test_one_power_pass_per_order_and_coordinate(self, rng):
+        # The direct route, F, F/G and F'/G' visit the same orders 1 +- t;
+        # each coordinate raises p to each order once (44 passes where the
+        # routes on their own take 176) and takes ln p once.
+        B = random_full(rng, 50)
+        for name in ("p1", "p2"):
+            object.__setattr__(B, name, getattr(B, name).view(_CountingArray))
+        _CountingArray.calls = {}
+        renyi_hyp_limit(B)
+        assert _CountingArray.calls["power"] == 2 * 2 * len(LIMIT_STEPS)
+        # Two more logs are the closed-form entropy's own.
+        assert _CountingArray.calls["log"] == 2 + 2
+
+    def test_shared_power_sums_keep_the_direct_route_bits(self, rng):
+        B = random_full(rng, 200)
+        assert renyi_hyp_limit(B) == hyp_limit(lambda a: renyi_hyp(B, a), ONE)
 
 
 class TestHartleyCollisionHyp:
