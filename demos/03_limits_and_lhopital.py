@@ -2,8 +2,9 @@
 
 The Renyi entropy is undefined at order 1 (its defining quotient becomes
 0/0), but its limit recovers the Shannon entropy.  The hyperbolic version
-inherits both facts, and the package checks them numerically two ways: a
-direct sequence limit and a hyperbolic L'Hopital rule.
+inherits both facts, and the package checks them numerically two ways
+through the hyperbolic L'Hopital rule: the F/G sequence limit and the F'/G'
+derivative limit.
 """
 
 import numpy as np
@@ -35,7 +36,7 @@ for k in range(1, 7):
         print(f"  {a:.6f}   {val.x1:.17f}   {val.x2:.17f}")
 
 # ---------------------------------------------------------------------------
-# The packaged limit: direct sequence + L'Hopital, cross-checked against S_f
+# The packaged limit: F/G and F'/G' limits, cross-checked against S_f
 # ---------------------------------------------------------------------------
 lim = renyi_hyp_limit(B)
 print("\nrenyi_hyp_limit:", lim)

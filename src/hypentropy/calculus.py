@@ -46,7 +46,7 @@ __all__ = [
 FD_STEP = 1e-6
 CR_TOL = 1e-6
 LIMIT_TOL = 1e-8
-# hyp_limit's steps t, shrinking tenfold from 1e-3 to 1e-13 on every approach.
+# hyp_limit's steps t, shrinking tenfold from 1e-3 to 1e-13 on either side.
 LIMIT_STEPS = tuple(10.0 ** (-3 - n) for n in range(11))
 LHOPITAL_TOL = 1e-6
 CONCAVITY_SLACK = 1e-10
@@ -135,7 +135,6 @@ class CauchyRiemannResult:
 def check_cauchy_riemann(
     F: Union[ComponentFunction, DifferentiableFunction, HypMap],
     xi: HyperbolicNumber,
-    cr_tol: float = CR_TOL,
 ) -> CauchyRiemannResult:
     """Finite-difference check of u_x = v_y and u_y = v_x at a point.
 
@@ -166,48 +165,33 @@ def check_cauchy_riemann(
     v_y = _fd_derivative(lambda y: v(x0, y), y0)
 
     residuals = HyperbolicNumber(u_x - v_y, u_y - v_x)
-    holds = abs(residuals.x1) < cr_tol and abs(residuals.x2) < cr_tol
+    holds = abs(residuals.x1) < CR_TOL and abs(residuals.x2) < CR_TOL
     return CauchyRiemannResult(holds, residuals)
 
 
 def hyp_limit(
     F: Union[ComponentFunction, DifferentiableFunction, HypMap],
     xi0: HyperbolicNumber,
-    approach: str = "both",
-    limit_tol: float = LIMIT_TOL,
 ) -> HyperbolicNumber:
     """Numerical limit of F at xi0 along xi0 + t*(e1+e2), t = +/- 10^(-3-n).
 
     Two-sided evaluation averages out the odd error terms; a single Richardson
-    step then removes the leading even (resp. linear, when one-sided) term.
-    The best-settled pair of successive extrapolants is returned; if even that
-    pair differs by more than ``limit_tol`` the limit is declared
-    non-convergent.
+    step then removes the leading even term.  The best-settled pair of
+    successive extrapolants is returned; if even that pair differs by more
+    than ``LIMIT_TOL`` the limit is declared non-convergent.
     """
-    if approach not in ("both", "above", "below"):
-        raise ValueError(f"unknown approach {approach!r}")
-    fmap = _as_component(F) if isinstance(
-        F, (ComponentFunction, DifferentiableFunction)) else F
-
     means: list[tuple[float, float]] = []
     for t in LIMIT_STEPS:
-        if approach == "both":
-            above = fmap(xi0 + embed_real(t))
-            below = fmap(xi0 - embed_real(t))
-            means.append(((above.x1 + below.x1) / 2.0,
-                          (above.x2 + below.x2) / 2.0))
-        else:
-            signed = t if approach == "above" else -t
-            val = fmap(xi0 + embed_real(signed))
-            means.append((val.x1, val.x2))
+        above = F(xi0 + embed_real(t))
+        below = F(xi0 - embed_real(t))
+        means.append(((above.x1 + below.x1) / 2.0,
+                      (above.x2 + below.x2) / 2.0))
 
-    # Steps shrink by 10x: weight 100/99 cancels t^2 (two-sided), 10/9
-    # cancels t (one-sided).
-    w = 100.0 if approach == "both" else 10.0
+    # Steps shrink by 10x: weight 100/99 cancels t^2.
     extrap = [
         (
-            (w * means[n + 1][0] - means[n][0]) / (w - 1.0),
-            (w * means[n + 1][1] - means[n][1]) / (w - 1.0),
+            (100.0 * means[n + 1][0] - means[n][0]) / 99.0,
+            (100.0 * means[n + 1][1] - means[n][1]) / 99.0,
         )
         for n in range(len(means) - 1)
     ]
@@ -222,7 +206,7 @@ def hyp_limit(
         if diff < best_diff:
             best_diff = diff
             best_idx = n + 1
-    if best_idx is None or best_diff > limit_tol:
+    if best_idx is None or best_diff > LIMIT_TOL:
         raise NonConvergent(
             f"limit at {xi0} did not settle: best successive gap {best_diff:.3e}"
         )
@@ -240,17 +224,17 @@ def lhopital_check(
     F: DifferentiableFunction,
     G: DifferentiableFunction,
     xi0: HyperbolicNumber,
-    tol: float = LHOPITAL_TOL,
-    limit_tol: float = LIMIT_TOL,
 ) -> LHopitalResult:
-    """Verify a 0/0 limit two ways: directly and through derivatives.
+    """Verify a 0/0 limit two ways: as the limit of F/G and as the limit of
+    F'/G'.
 
-    Requires both functions to vanish at xi0 (within ``limit_tol``) and G' at
-    xi0 to stay off the zero-divisor set.
+    Requires both functions to vanish at xi0 (within ``10 * LIMIT_TOL``) and
+    G' at xi0 to stay off the zero-divisor set; the two limits agree when
+    they differ by less than ``LHOPITAL_TOL`` in each coordinate.
     """
-    f0 = hyp_limit(F, xi0, limit_tol=limit_tol)
-    g0 = hyp_limit(G, xi0, limit_tol=limit_tol)
-    small = 10.0 * limit_tol
+    f0 = hyp_limit(F, xi0)
+    g0 = hyp_limit(G, xi0)
+    small = 10.0 * LIMIT_TOL
     if max(abs(f0.x1), abs(f0.x2)) > small or max(abs(g0.x1), abs(g0.x2)) > small:
         raise HypothesisViolated(
             f"not a 0/0 form at {xi0}: F -> {f0}, G -> {g0}"
@@ -265,9 +249,10 @@ def lhopital_check(
     def derivative_ratio(xi: HyperbolicNumber) -> HyperbolicNumber:
         return hyp_derivative(F, xi) / hyp_derivative(G, xi)
 
-    lhs = hyp_limit(ratio, xi0, limit_tol=limit_tol)
-    rhs = hyp_limit(derivative_ratio, xi0, limit_tol=limit_tol)
-    agree = abs(lhs.x1 - rhs.x1) < tol and abs(lhs.x2 - rhs.x2) < tol
+    lhs = hyp_limit(ratio, xi0)
+    rhs = hyp_limit(derivative_ratio, xi0)
+    agree = (abs(lhs.x1 - rhs.x1) < LHOPITAL_TOL
+             and abs(lhs.x2 - rhs.x2) < LHOPITAL_TOL)
     return LHopitalResult(lhs, rhs, agree)
 
 

@@ -18,8 +18,6 @@ import json
 import sys
 from typing import Optional, Sequence, Union
 
-import numpy as np
-
 from . import distributions as dist
 from . import measures
 from .errors import HypentropyError, NonConvergent, ParseError
@@ -214,8 +212,6 @@ def cmd_stability(args: argparse.Namespace) -> int:
 def cmd_limits(args: argparse.Namespace) -> int:
     D = _load_distribution(args.input)
     B = dist.embed(D) if isinstance(D, dist.RealDistribution) else D
-    if np.any(B.p1 <= 0.0) or np.any(B.p2 <= 0.0):
-        raise HypentropyError("limits require strictly positive components")
 
     lines = [f"{'order_e1':>12} {'order_e2':>12} {'value_e1':>22} {'value_e2':>22}"]
     for k in range(1, 7):
@@ -272,15 +268,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
+    def add_output(p: argparse.ArgumentParser, table: bool = False) -> None:
         p.add_argument("--output", default=None,
                        help="output path (default: standard output)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--basis", choices=("idempotent", "unit-k"),
-                       default="idempotent",
-                       help="display basis for hyperbolic values")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tol", type=float, default=1e-6)
+        if table:
+            p.add_argument("--format", choices=("csv", "json"), default="csv")
+            p.add_argument("--basis", choices=("idempotent", "unit-k"),
+                           default="idempotent",
+                           help="display basis for hyperbolic values")
 
     p_entropy = sub.add_parser("entropy", help="compute measures of a distribution")
     p_entropy.add_argument("--input", required=True)
@@ -288,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
                            choices=sorted(measures.MEASURES))
     p_entropy.add_argument("--order", default=None,
                            help='order as "a1,a2" or a single real meaning a*1_D')
-    add_common(p_entropy)
+    add_output(p_entropy, table=True)
     p_entropy.set_defaults(func=cmd_entropy)
 
     p_stab = sub.add_parser("stability", help="run a Lesche-stability sweep")
@@ -302,19 +297,22 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=[name for name, m in measures.MEASURES.items()
                                  if m.kernel])
     p_stab.add_argument("--order", default=None)
-    add_common(p_stab)
+    add_output(p_stab, table=True)
+    p_stab.add_argument("--seed", type=int, default=0)
     p_stab.set_defaults(func=cmd_stability)
 
     p_lim = sub.add_parser("limits",
                            help="order -> 1_D convergence and L'Hopital check")
     p_lim.add_argument("--input", required=True)
-    add_common(p_lim)
+    add_output(p_lim)
+    p_lim.add_argument("--tol", type=float, default=1e-6)
     p_lim.set_defaults(func=cmd_limits)
 
     p_ver = sub.add_parser("verify", help="run the invariant suite")
     p_ver.add_argument("--input", default=None,
                        help="optional distribution fixture to validate")
-    add_common(p_ver)
+    add_output(p_ver)
+    p_ver.add_argument("--seed", type=int, default=0)
     p_ver.set_defaults(func=cmd_verify)
 
     return parser

@@ -89,9 +89,6 @@ class RealDistribution:
     def n(self) -> int:
         return int(self.p.size)
 
-    def __iter__(self):
-        return iter(self.p)
-
 
 def _case_of(s1: float, s2: float) -> Optional[Case]:
     """The case whose component sums are (s1, s2), or None."""
@@ -144,9 +141,6 @@ class HyperbolicDistribution:
 
     def rho(self, s: int) -> HyperbolicNumber:
         return HyperbolicNumber(float(self.p1[s]), float(self.p2[s]))
-
-    def rhos(self) -> list[HyperbolicNumber]:
-        return [self.rho(s) for s in range(self.n)]
 
     def projection1(self) -> RealDistribution:
         if self.case is Case.E2_ONLY:
@@ -358,7 +352,12 @@ def real_to_json(P: RealDistribution) -> str:
 
 
 def real_from_json(text: str) -> RealDistribution:
-    return RealDistribution(np.asarray(json.loads(text), dtype=float))
+    values = json.loads(text)
+    p = np.asarray(values, dtype=float)
+    # numpy reads a JSON null as NaN; keep it a malformed cell.
+    if np.isnan(p).any() and None in values:
+        raise TypeError("a probability is null")
+    return RealDistribution(p)
 
 
 def real_to_csv(P: RealDistribution) -> str:

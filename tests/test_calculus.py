@@ -125,16 +125,6 @@ class TestLimit:
         lim = hyp_limit(F, ONE)
         assert approx_eq(lim, embed_real(2.0), tol=1e-8)
 
-    def test_one_sided(self):
-        # sqrt converges slowly (O(sqrt(t)) tail), so loosen the settle test.
-        half = ComponentFunction.symmetric(lambda x: math.sqrt(max(x, 0.0)))
-        lim = hyp_limit(half, ZERO, approach="above", limit_tol=1e-3)
-        assert approx_eq(lim, ZERO, tol=1e-3)
-
-    def test_bad_approach(self):
-        with pytest.raises(ValueError):
-            hyp_limit(lambda xi: xi, ONE, approach="sideways")
-
     def test_nonconvergence_detected(self):
         # cos oscillates without decay; its two-sided means do not settle
         # (sin would be averaged away exactly by the odd-term cancellation).

@@ -249,8 +249,9 @@ class TestMalformedInput:
         ("no-rho.json", '{"case": "full"}'),
         ("cell.csv", "p\n0.5\nhalf\n"),
         ("deep.json", "[" * 100_000),
+        ("null.json", "[null, 1.0]"),
     ], ids=["truncated-json", "json-without-rho", "non-numeric-csv-cell",
-            "deeply-nested-json"])
+            "deeply-nested-json", "null-in-real-json"])
     def test_bad_file_exits_2(self, name, text, tmp_path, capsys):
         path = tmp_path / name
         path.write_text(text)
@@ -330,10 +331,17 @@ class TestLimitsCommand:
         assert code == EXIT_OK
         assert "0.69314718055994529" in capsys.readouterr().out
 
-    def test_zero_component_exits_2(self, tmp_path):
-        path = tmp_path / "zero.json"
-        path.write_text("[1.0, 0.0]")
+    @pytest.mark.parametrize("text, error", [
+        ("[1.0, 0.0]", "ZeroComponent"),
+        ('{"rho": [[0.5, 0.0], [0.5, 0.0]]}', "CaseMismatch"),
+    ], ids=["zero-component", "case-e1"])
+    def test_limit_rejects_input(self, text, error, tmp_path, capsys):
+        path = tmp_path / "dist.json"
+        path.write_text(text)
         assert main(["limits", "--input", str(path)]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {error}: ")
 
 
 class TestVerifyCommand:
@@ -510,11 +518,14 @@ class TestGoldenEntropyOutput:
         assert _run(argv, capsys) == (EXIT_VALIDATION, "")
 
 
-def _measure_choices(command: str) -> list:
+def _subparsers() -> dict:
     parser = build_parser()
-    sub = next(a for a in parser._actions
-               if isinstance(a, argparse._SubParsersAction))
-    return list(next(a for a in sub.choices[command]._actions
+    return next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _measure_choices(command: str) -> list:
+    return list(next(a for a in _subparsers()[command]._actions
                      if a.dest == "measure").choices)
 
 
@@ -593,3 +604,35 @@ class TestGoldenLimitsOutput:
         assert strict["csv"] == strict["json"]
         assert plain.startswith(f"{EXIT_OK}\n")
         assert strict["json"] == f"{EXIT_NONCONVERGENT}\n" + plain.split("\n", 1)[1]
+
+
+class TestFlagsPerCommand:
+    """Each subcommand takes only the flags it reads."""
+
+    OPTIONS = {
+        "entropy": ["-h", "--help", "--input", "--measure", "--order",
+                    "--output", "--format", "--basis"],
+        "stability": ["-h", "--help", "--family", "--N-grid", "--delta-grid",
+                      "--measure", "--order", "--output", "--format",
+                      "--basis", "--seed"],
+        "limits": ["-h", "--help", "--input", "--output", "--tol"],
+        "verify": ["-h", "--help", "--input", "--output", "--seed"],
+    }
+
+    def test_option_strings(self):
+        got = {command: [s for a in p._actions for s in a.option_strings]
+               for command, p in _subparsers().items()}
+        assert got == self.OPTIONS
+
+    @pytest.mark.parametrize("argv", [
+        ["limits", "--format", "json"],
+        ["verify", "--tol", "1"],
+        ["entropy", "--measure", "shannon", "--seed", "1"],
+    ], ids=["limits-format", "verify-tol", "entropy-seed"])
+    def test_unread_flag_exits_2(self, argv, real_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--input", real_path])
+        assert exc.value.code == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments" in captured.err

@@ -48,6 +48,7 @@ from hypentropy.errors import (
     ZeroComponent,
     ZeroProbability,
 )
+from hypentropy import calculus, measures
 from hypentropy.calculus import LIMIT_STEPS
 from hypentropy.measures import MEASURES, Measure, evaluate
 
@@ -444,9 +445,9 @@ class TestRenyiHypLimit:
             renyi_hyp_limit(B)
 
     def test_one_power_pass_per_order_and_coordinate(self, rng):
-        # The direct route, F, F/G and F'/G' visit the same orders 1 +- t;
-        # each coordinate raises p to each order once (44 passes where the
-        # routes on their own take 176) and takes ln p once.
+        # F, F/G and F'/G' visit the same orders 1 +- t; each coordinate
+        # raises p to each order once (44 passes where the routes on their
+        # own take 132) and takes ln p once.
         B = random_full(rng, 50)
         for name in ("p1", "p2"):
             object.__setattr__(B, name, getattr(B, name).view(_CountingArray))
@@ -459,6 +460,20 @@ class TestRenyiHypLimit:
     def test_shared_power_sums_keep_the_direct_route_bits(self, rng):
         B = random_full(rng, 200)
         assert renyi_hyp_limit(B) == hyp_limit(lambda a: renyi_hyp(B, a), ONE)
+
+    def test_one_limit_per_route(self, fixture_b, monkeypatch):
+        # L'Hopital takes the limits of F, G, F/G and F'/G'; the F/G limit is
+        # the value, so no separate direct limit is taken.
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return hyp_limit(*args, **kwargs)
+
+        monkeypatch.setattr(calculus, "hyp_limit", counted)
+        monkeypatch.setattr(measures, "hyp_limit", counted)
+        renyi_hyp_limit(fixture_b)
+        assert calls == [ONE] * 4
 
 
 class TestHartleyCollisionHyp:
