@@ -162,7 +162,7 @@ def records_from_csv(text: str) -> list[StabilityRecord]:
     return records
 
 
-def _records_to_json(records: Sequence[StabilityRecord]) -> str:
+def _records_to_json(records: Sequence[StabilityRecord], basis: str) -> str:
     payload = []
     for rec in records:
         payload.append({
@@ -171,8 +171,8 @@ def _records_to_json(records: Sequence[StabilityRecord]) -> str:
             "order": None if rec.order is None else [rec.order.x1, rec.order.x2],
             "N": rec.n,
             "delta": rec.delta,
-            "norm": [rec.norm.x1, rec.norm.x2],
-            "ratio": [rec.ratio.x1, rec.ratio.x2],
+            "norm": list(_value_columns(rec.norm, basis)),
+            "ratio": list(_value_columns(rec.ratio, basis)),
             "error": rec.error,
         })
     return json.dumps(payload, indent=2) + "\n"
@@ -202,7 +202,7 @@ def cmd_stability(args: argparse.Namespace) -> int:
     )
     records = stability_sweep(config)
     if args.format == "json":
-        text = _records_to_json(records)
+        text = _records_to_json(records, args.basis)
     else:
         text = records_to_csv(records, args.basis)
     _write_output(text, args.output)
@@ -213,17 +213,15 @@ def cmd_limits(args: argparse.Namespace) -> int:
     D = _load_distribution(args.input)
     B = dist.embed(D) if isinstance(D, dist.RealDistribution) else D
 
+    orders = [embed_real(1.0 + sign * 10.0 ** (-k))
+              for k in range(1, 7) for sign in (+1.0, -1.0)]
+    result = measures.renyi_hyp_limit_table(B, orders)
     lines = [f"{'order_e1':>12} {'order_e2':>12} {'value_e1':>22} {'value_e2':>22}"]
-    for k in range(1, 7):
-        t = 10.0 ** (-k)
-        for sign in (+1.0, -1.0):
-            a = embed_real(1.0 + sign * t)
-            val = measures.renyi_hyp(B, a)
-            lines.append(f"{a.x1:>12.7f} {a.x2:>12.7f} "
-                         f"{val.x1:>22.17g} {val.x2:>22.17g}")
+    for a, val in zip(orders, result.table):
+        lines.append(f"{a.x1:>12.7f} {a.x2:>12.7f} "
+                     f"{val.x1:>22.17g} {val.x2:>22.17g}")
 
-    limit = measures.renyi_hyp_limit(B)
-    entropy = measures.strong_shannon_hyp(B)
+    limit, entropy = result.limit, result.entropy
     diff = (abs(limit.x1 - entropy.x1), abs(limit.x2 - entropy.x2))
     lines.append(f"limit (direct + L'Hopital): {_fmt(limit.x1)} {_fmt(limit.x2)}")
     lines.append(f"strong hyperbolic entropy:  {_fmt(entropy.x1)} {_fmt(entropy.x2)}")

@@ -354,6 +354,9 @@ def real_to_json(P: RealDistribution) -> str:
 def real_from_json(text: str) -> RealDistribution:
     values = json.loads(text)
     p = np.asarray(values, dtype=float)
+    if p.ndim != 1:
+        raise ValueError("expected a flat array of probabilities, "
+                         f"got an array of shape {p.shape}")
     # numpy reads a JSON null as NaN; keep it a malformed cell.
     if np.isnan(p).any() and None in values:
         raise TypeError("a probability is null")

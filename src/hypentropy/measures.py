@@ -10,6 +10,8 @@ Natural logarithms throughout.
 measure is its 1-D coordinate kernel on ``P.p`` at order q, and its
 hyperbolic lift is ``HyperbolicNumber(kernel(p1, a1), kernel(p2, a2))``.
 The public functions, the CLI and the Lesche sweep all read it.
+The kernels read a zero-free array in place and copy out the positive
+entries only when the array has a zero (or a negative or NaN entry).
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -56,6 +58,8 @@ __all__ = [
     "renyi_hyp",
     "renyi_hyp_mixed",
     "renyi_hyp_limit",
+    "renyi_hyp_limit_table",
+    "RenyiLimit",
     "hartley_hyp",
     "collision_hyp",
     "strong_extropy_hyp",
@@ -69,9 +73,15 @@ LIMIT_AGREE_TOL = 1e-6
 
 # --- coordinate kernels --------------------------------------------------------
 
+def _positive(p: np.ndarray) -> np.ndarray:
+    """The positive entries of p, in order: p itself, uncopied, when its
+    minimum is positive (the same floats, so every sum keeps its bits)."""
+    return p if p.min() > 0.0 else p[p > 0.0]
+
+
 def _neg_xlogx_sum(p: np.ndarray) -> float:
     """-sum p*log(p) with 0*log(0) := 0."""
-    x = p[p > 0.0]
+    x = _positive(p)
     return float(-(x * np.log(x)).sum())
 
 
@@ -85,10 +95,9 @@ def _hartley_coordinate(p: np.ndarray) -> float:
     return math.log(p.size)
 
 
-def _log_sum(terms: np.ndarray) -> float:
-    """log(sum terms); -inf, without a divide-by-zero warning, when every
+def _log_total(total: float) -> float:
+    """log of a power sum; -inf, without a divide-by-zero warning, when every
     term underflowed to 0 (a large order), so the value check can reject it."""
-    total = terms.sum()
     return float(np.log(total)) if total > 0.0 else -math.inf
 
 
@@ -99,7 +108,7 @@ def _renyi_coordinate(p: np.ndarray, a: float) -> float:
         return _hartley_coordinate(p)
     if a == 1.0:
         return _neg_xlogx_sum(p)
-    return _log_sum(p[p > 0.0] ** a) / (1.0 - a)
+    return _log_total((_positive(p) ** a).sum()) / (1.0 - a)
 
 
 def _collision_coordinate(p: np.ndarray) -> float:
@@ -113,7 +122,7 @@ def _renyi_extropy_coordinate(p: np.ndarray, a: float) -> float:
     if n == 1:
         warnings.warn("Renyi extropy of a single state is 0 by convention")
         return 0.0
-    comp = _log_sum((1.0 - p) ** a)
+    comp = _log_total(((1.0 - p) ** a).sum())
     return ((n - 1.0) * (comp - math.log(n - 1.0))) / (1.0 - a)
 
 
@@ -394,7 +403,7 @@ def _log_power_sum_function(B: HyperbolicDistribution) -> DifferentiableFunction
     sums1, sums2 = _power_sums(B.p1), _power_sums(B.p2)
 
     def f(sums: Callable, a: float) -> float:
-        return float(np.log(sums(a)[0]))
+        return _log_total(sums(a)[0])
 
     def fprime(sums: Callable, a: float) -> float:
         pa_sum, pa_log_sum = sums(a)
@@ -406,15 +415,24 @@ def _log_power_sum_function(B: HyperbolicDistribution) -> DifferentiableFunction
     )
 
 
-def renyi_hyp_limit(B: HyperbolicDistribution) -> HyperbolicNumber:
-    """lim_{alpha -> 1_D} of the hyperbolic Renyi entropy.
+@dataclass(frozen=True)
+class RenyiLimit:
+    """The Renyi limit at 1_D, the strong hyperbolic Shannon entropy it was
+    checked against, and ``renyi_hyp`` at each requested order."""
 
-    Taken by the hyperbolic L'Hopital rule on F / G = Log_D(sum rho^alpha) /
-    (1_D - alpha): the F/G sequence limit (the direct limit) is returned; it
-    must agree with the strong hyperbolic Shannon entropy, and the F'/G'
-    derivative limit with it, within 1e-6.  Both routes visit the same
-    orders, so each coordinate's power sums are taken once per order and
-    shared.
+    limit: HyperbolicNumber
+    entropy: HyperbolicNumber
+    table: tuple[HyperbolicNumber, ...]
+
+
+def renyi_hyp_limit_table(
+    B: HyperbolicDistribution, orders: Sequence[HyperbolicNumber] = ()
+) -> RenyiLimit:
+    """``renyi_hyp_limit`` of B, and ``renyi_hyp`` of B at each of ``orders``.
+
+    The table is read from the limit's power sums, so an order that the
+    limit visits too is raised to once per coordinate; each table value has
+    the bits of ``renyi_hyp``.
     """
     _require_full(B, "renyi_hyp_limit")
     if np.any(B.p1 <= 0.0) or np.any(B.p2 <= 0.0):
@@ -436,7 +454,27 @@ def renyi_hyp_limit(B: HyperbolicDistribution) -> HyperbolicNumber:
         )
     if not lh.agree:
         raise NonConvergent(f"L'Hopital sides disagree: {limit} vs {lh.rhs}")
-    return limit
+
+    table = []
+    for alpha in orders:
+        _check_renyi_hyp_order(alpha)
+        v = F(alpha)
+        table.append(MEASURES["renyi_hyp"].value(
+            v.x1 / (1.0 - alpha.x1), v.x2 / (1.0 - alpha.x2)))
+    return RenyiLimit(limit, closed, tuple(table))
+
+
+def renyi_hyp_limit(B: HyperbolicDistribution) -> HyperbolicNumber:
+    """lim_{alpha -> 1_D} of the hyperbolic Renyi entropy.
+
+    Taken by the hyperbolic L'Hopital rule on F / G = Log_D(sum rho^alpha) /
+    (1_D - alpha): the F/G sequence limit (the direct limit) is returned; it
+    must agree with the strong hyperbolic Shannon entropy, and the F'/G'
+    derivative limit with it, within 1e-6.  Both routes visit the same
+    orders, so each coordinate's power sums are taken once per order and
+    shared.
+    """
+    return renyi_hyp_limit_table(B).limit
 
 
 def hartley_hyp(B: HyperbolicDistribution) -> HyperbolicNumber:

@@ -48,6 +48,18 @@ def random_full(rng: np.random.Generator, n: int) -> HyperbolicDistribution:
     return HyperbolicDistribution(p1, p2, Case.FULL)
 
 
+class CountingArray(np.ndarray):
+    """An array that counts the ufunc calls it takes part in, by name."""
+
+    calls: dict = {}
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        CountingArray.calls[ufunc.__name__] = \
+            CountingArray.calls.get(ufunc.__name__, 0) + 1
+        plain = tuple(np.asarray(x) for x in inputs)
+        return getattr(ufunc, method)(*plain, **kwargs)
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20260823)

@@ -3,14 +3,17 @@
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
+import io
 import json
 import random
 import warnings
 
 import pytest
 
-from hypentropy import SweepConfig, embed_real, measures, stability_sweep, verify
+from hypentropy import SweepConfig, cli, embed_real, measures, stability_sweep, \
+    verify
 from hypentropy.cli import (
     EXIT_INVARIANT,
     EXIT_IO,
@@ -23,6 +26,8 @@ from hypentropy.cli import (
     records_to_csv,
 )
 from hypentropy.rng import derive_seed
+
+from conftest import CountingArray
 
 HYP_FIXTURE = '{"case": "full", "rho": [[0.5, 0.25], [0.5, 0.75]]}'
 REAL_FIXTURE = "[0.5, 0.5]"
@@ -204,6 +209,29 @@ class TestStabilityCommand:
         assert {row["family"] for row in rows} \
             == {"CertaintySpread", "RandomSmooth"}
 
+    def test_json_honours_the_basis(self, capsys):
+        argv = ["stability", "--family", "CertaintySpread", "--family",
+                "UniformSpike", "--N-grid", "10,1000", "--delta-grid", "0.1",
+                "--measure", "renyi_hyp", "--measure", "shannon",
+                "--order", "0.5,2"]
+
+        def columns(fmt, basis):
+            assert main(argv + ["--format", fmt, "--basis", basis]) == EXIT_OK
+            out = capsys.readouterr().out
+            if fmt == "json":
+                return [(row["order"], row["norm"], row["ratio"])
+                        for row in json.loads(out)]
+            return [([float(r["order_e1"]), float(r["order_e2"])]
+                     if r["order_e1"] else None,
+                     [float(r["norm_e1"]), float(r["norm_e2"])],
+                     [float(r["ratio_e1"]), float(r["ratio_e2"])])
+                    for r in csv.DictReader(io.StringIO(out))]
+
+        unit_k = columns("json", "unit-k")
+        assert unit_k == columns("csv", "unit-k")
+        assert unit_k != columns("json", "idempotent")
+        assert columns("json", "idempotent") == columns("csv", "idempotent")
+
     def test_header(self, capsys):
         assert main(self.ARGS) == EXIT_OK
         header = capsys.readouterr().out.splitlines()[0]
@@ -250,8 +278,9 @@ class TestMalformedInput:
         ("cell.csv", "p\n0.5\nhalf\n"),
         ("deep.json", "[" * 100_000),
         ("null.json", "[null, 1.0]"),
+        ("nested.json", "[[0.5], [0.5]]"),
     ], ids=["truncated-json", "json-without-rho", "non-numeric-csv-cell",
-            "deeply-nested-json", "null-in-real-json"])
+            "deeply-nested-json", "null-in-real-json", "nested-real-json"])
     def test_bad_file_exits_2(self, name, text, tmp_path, capsys):
         path = tmp_path / name
         path.write_text(text)
@@ -260,6 +289,13 @@ class TestMalformedInput:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ParseError: ")
+
+    def test_nested_real_json_names_its_shape(self, tmp_path, capsys):
+        path = tmp_path / "nested.json"
+        path.write_text("[[0.5], [0.5]]")
+        assert main(["entropy", "--input", str(path),
+                     "--measure", "shannon"]) == EXIT_VALIDATION
+        assert "shape (2, 1)" in capsys.readouterr().err
 
 
 class TestMalformedCaseFullInput:
@@ -330,6 +366,28 @@ class TestLimitsCommand:
         code = main(["limits", "--input", real_path])
         assert code == EXIT_OK
         assert "0.69314718055994529" in capsys.readouterr().out
+
+    def test_one_power_pass_per_order_and_coordinate(self, hyp_path,
+                                                      monkeypatch):
+        # The table's orders 1 +- 1e-k, k = 3..6, are orders of the limit
+        # too, so each coordinate is raised to the limit's 2 * 11 orders and
+        # to 1 +- 0.1 and 1 +- 0.01: 2 * 26 = 52 passes, where a table taken
+        # apart from the limit made 68.  The logs are ln p for the power sums and the one
+        # closed-form entropy, per coordinate.
+        load = cli._load_distribution
+
+        def counted(path):
+            B = load(path)
+            for name in ("p1", "p2"):
+                object.__setattr__(B, name,
+                                   getattr(B, name).view(CountingArray))
+            return B
+
+        monkeypatch.setattr(cli, "_load_distribution", counted)
+        CountingArray.calls = {}
+        assert main(["limits", "--input", hyp_path]) == EXIT_OK
+        assert CountingArray.calls["power"] == 52
+        assert CountingArray.calls["log"] == 2 + 2
 
     @pytest.mark.parametrize("text, error", [
         ("[1.0, 0.0]", "ZeroComponent"),

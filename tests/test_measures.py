@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypentropy import (
     ONE,
@@ -23,6 +26,7 @@ from hypentropy import (
     hartley,
     hartley_hyp,
     hyp_limit,
+    perturbation_family,
     renyi,
     renyi_extropy,
     renyi_extropy_hyp,
@@ -53,6 +57,7 @@ from hypentropy.calculus import LIMIT_STEPS
 from hypentropy.measures import MEASURES, Measure, evaluate
 
 from conftest import (
+    CountingArray,
     oracle_collision,
     oracle_extropy,
     oracle_hartley,
@@ -414,18 +419,6 @@ class TestRenyiHypMixed:
                 renyi_hyp_mixed(fixture_b, HyperbolicNumber(math.inf, 2.0))
 
 
-class _CountingArray(np.ndarray):
-    """An array that counts the ufunc calls it takes part in, by name."""
-
-    calls: dict = {}
-
-    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        _CountingArray.calls[ufunc.__name__] = \
-            _CountingArray.calls.get(ufunc.__name__, 0) + 1
-        plain = tuple(np.asarray(x) for x in inputs)
-        return getattr(ufunc, method)(*plain, **kwargs)
-
-
 class TestRenyiHypLimit:
     def test_uniform_three(self):
         got = renyi_hyp_limit(uniform_hyp(3))
@@ -450,16 +443,36 @@ class TestRenyiHypLimit:
         # own take 132) and takes ln p once.
         B = random_full(rng, 50)
         for name in ("p1", "p2"):
-            object.__setattr__(B, name, getattr(B, name).view(_CountingArray))
-        _CountingArray.calls = {}
+            object.__setattr__(B, name, getattr(B, name).view(CountingArray))
+        CountingArray.calls = {}
         renyi_hyp_limit(B)
-        assert _CountingArray.calls["power"] == 2 * 2 * len(LIMIT_STEPS)
+        assert CountingArray.calls["power"] == 2 * 2 * len(LIMIT_STEPS)
         # Two more logs are the closed-form entropy's own.
-        assert _CountingArray.calls["log"] == 2 + 2
+        assert CountingArray.calls["log"] == 2 + 2
 
     def test_shared_power_sums_keep_the_direct_route_bits(self, rng):
         B = random_full(rng, 200)
         assert renyi_hyp_limit(B) == hyp_limit(lambda a: renyi_hyp(B, a), ONE)
+
+    def test_table_has_the_bits_of_renyi_hyp(self, rng):
+        B = random_full(rng, 200)
+        orders = [embed_real(1.1), embed_real(1.0 - 1e-4),
+                  HyperbolicNumber(0.5, 2.0)]
+        result = measures.renyi_hyp_limit_table(B, orders)
+        assert result.table == tuple(renyi_hyp(B, a) for a in orders)
+        assert result.limit == renyi_hyp_limit(B)
+        assert result.entropy == strong_shannon_hyp(B)
+
+    @pytest.mark.parametrize("alpha, error", [
+        (HyperbolicNumber(2000.0, 2.0), NonFinite),
+        (HyperbolicNumber(1.0, 2.0), OrderOnZeroDivisorLine),
+    ], ids=["underflow", "order-one"])
+    def test_table_orders_have_renyi_hyps_domain(self, fixture_b, alpha,
+                                                 error):
+        with pytest.raises(error):
+            renyi_hyp(fixture_b, alpha)
+        with pytest.raises(error):
+            measures.renyi_hyp_limit_table(fixture_b, [alpha])
 
     def test_one_limit_per_route(self, fixture_b, monkeypatch):
         # L'Hopital takes the limits of F, G, F/G and F'/G'; the F/G limit is
@@ -559,3 +572,76 @@ class TestRenyiExtropyHyp:
             lim = hyp_limit(lambda a: renyi_extropy_hyp(fixture_b, a), ONE)
         frozen = HyperbolicNumber(0.693147180557528, 0.5623351446095097)
         assert approx_eq(lim, frozen, tol=1e-9)
+
+
+def _compressed(name: str, p: np.ndarray, *q: float) -> float:
+    """A kernel as the compress formula: its sum over p[p > 0] (or over the
+    positive entries of 1 - p), always on a copy."""
+    def neg_xlogx_sum(y):
+        x = y[y > 0.0]
+        return float(-(x * np.log(x)).sum())
+
+    def renyi_(y, a):
+        total = (y[y > 0.0] ** a).sum()
+        return (float(np.log(total)) if total > 0.0 else -math.inf) / (1.0 - a)
+
+    if name == "shannon":
+        return neg_xlogx_sum(p)
+    if name == "extropy":
+        return neg_xlogx_sum(1.0 - p)
+    if name == "collision":
+        return renyi_(p, 2.0)
+    return renyi_(p, *q)
+
+
+KERNEL_CASES = [("shannon", ()), ("extropy", ()), ("collision", ()),
+                ("renyi", (0.5,)), ("renyi", (2.0,)), ("renyi", (3.7,))]
+
+
+class TestKernelsReadInPlace:
+    """A zero-free array is read in place, with the bits of the compress
+    formula; any other array takes the compress formula itself."""
+
+    @staticmethod
+    def arrays() -> dict:
+        rng = np.random.default_rng(7)
+        return {
+            **{f"dirichlet-{n}": rng.dirichlet(np.ones(n))
+               for n in (2, 1000, 100_000)},
+            "certainty-spread-base":
+                perturbation_family("CertaintySpread", 1000, 0.01).base.p,
+            "entry-one": np.array([0.25, 1.0, 0.5]),
+            "entry-above-one": np.array([0.25, 1.0 + 1e-10, 0.5]),
+        }
+
+    @pytest.mark.parametrize("name, q", KERNEL_CASES)
+    def test_bits_of_the_compress_formula(self, name, q):
+        for label, p in self.arrays().items():
+            assert MEASURES[name].kernel(p, *q) == _compressed(name, p, *q), \
+                label
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.booleans(),
+                              st.floats(0.0, 1.0, exclude_min=True)),
+                    min_size=1, max_size=40),
+           st.sampled_from(KERNEL_CASES))
+    def test_random_zero_positions(self, cells, case):
+        name, q = case
+        p = np.array([0.0 if zero else v for zero, v in cells])
+        assert MEASURES[name].kernel(p, *q) == _compressed(name, p, *q)
+
+    @pytest.mark.parametrize("kernel, q", [
+        (measures._neg_xlogx_sum, ()),
+        (measures._renyi_coordinate, (2.0,)),
+    ], ids=["neg-xlogx-sum", "renyi-2"])
+    def test_zero_free_array_is_not_copied(self, kernel, q):
+        # One 8N-byte temporary (the log or the power), none for a copy of p.
+        n = 1_000_000
+        p = np.full(n, 1.0 / n)
+        tracemalloc.start()
+        try:
+            kernel(p, *q)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 8 * n
