@@ -178,12 +178,23 @@ def _records_to_json(records: Sequence[StabilityRecord], basis: str) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _parse_grid(text: str, kind) -> list:
+def _integral(token: str) -> int:
+    """An integer token, or a float one of integral value such as ``1e5``."""
+    try:
+        return int(token)
+    except ValueError:
+        value = float(token)
+        if not value.is_integer():
+            raise
+        return int(value)
+
+
+def _parse_grid(text: str, kind, what: str) -> list:
     try:
         return [kind(part) for part in text.split(",") if part.strip()]
     except ValueError:
         raise ParseError(
-            f"grid must be comma-separated {kind.__name__} values, "
+            f"grid must be comma-separated {what} values, "
             f"got {text!r}") from None
 
 
@@ -195,8 +206,8 @@ def cmd_stability(args: argparse.Namespace) -> int:
     ]
     config = SweepConfig(
         families=args.family,
-        n_grid=_parse_grid(args.n_grid, int),
-        delta_grid=_parse_grid(args.delta_grid, float),
+        n_grid=_parse_grid(args.n_grid, _integral, "integer"),
+        delta_grid=_parse_grid(args.delta_grid, float, "float"),
         measures=measure_selection,
         seed=args.seed,
     )

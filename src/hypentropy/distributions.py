@@ -240,14 +240,16 @@ def _uniform_spike(n: int, delta: float) -> tuple[np.ndarray, np.ndarray]:
 def _random_smooth(
     n: int, delta: float, rng: Xoshiro256StarStar
 ) -> tuple[np.ndarray, np.ndarray]:
-    # Base point: normalized exponentials, i.e. a flat Dirichlet draw.
-    g = -np.log(1.0 - rng.randoms(n))
+    # Base point: normalized exponentials, i.e. a flat Dirichlet draw.  The
+    # base and the first direction come from one block draw.
+    draws = rng.randoms(2 * n)
+    g = -np.log(1.0 - draws[:n])
     p = g / g.sum()
     # Zero-sum direction d_i = p_i * (u_i - <u>_p) keeps perturbed entries
     # positive after scaling to L1 size delta; redraw in the rare case the
     # scaled step would leave [0, 1].
-    for _ in range(100):
-        u = rng.randoms(n)
+    for attempt in range(100):
+        u = rng.randoms(n) if attempt else draws[n:]
         d = p * (u - float(np.dot(p, u)))
         l1 = float(np.abs(d).sum())
         if l1 == 0.0:

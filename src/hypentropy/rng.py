@@ -10,7 +10,9 @@ stream through jump-ahead lanes.  The state transition is linear over GF(2)
 (Blackman & Vigna, ACM TOMS 2021), so with A the 256 x 256 bit matrix of one
 step, the state k*m steps on is s @ A^(k*m).  The draw is split into lanes
 of m = 2^a steps; lane k starts at s @ A^(k*m), all lanes step together in
-numpy ``uint64``, and the outputs are read lane by lane.
+numpy ``uint64``, and the outputs are read lane by lane.  The lane step works
+in place on the (4, lanes) state through a scratch array made once per draw,
+so the step loop allocates nothing.
 """
 
 from __future__ import annotations
@@ -64,16 +66,31 @@ _BLOCK_MIN = 256
 _WORDS = np.dtype("<u8")
 
 
-def _advance(s: np.ndarray) -> None:
-    """One xoshiro256** transition of every column of s (shape (4, k)), in place."""
-    s0, s1, s2, s3 = s
-    t = s1 << 17
-    s2 ^= s0
-    s3 ^= s1
-    s1 ^= s2
-    s0 ^= s3
-    s2 ^= t
-    np.bitwise_or(s3 << 45, s3 >> 19, out=s3)
+# Shift amounts of the step's two left shifts: s1 << 17 and s3 << 45.
+_SHIFTS = np.array([[17], [45]], dtype=np.uint64)
+
+
+def _stepper(s: np.ndarray):
+    """A function making one xoshiro256** transition of every column of s
+    (shape (4, k)) in place.
+
+    The row views and a (2, k) scratch are made once here, so a step is five
+    in-place ufunc calls and allocates nothing.  Pairs of rows move together:
+    s2, s3 ^= s0, s1; then s0, s1 ^= s3, s2; the bits of s3 << 45 and s3 >> 19
+    are disjoint, so the rotation's OR is an XOR.
+    """
+    low, high, odd = s[0:2], s[2:4], s[1::2]
+    crossed, s3 = s[3:1:-1], s[3]
+    scratch = np.empty_like(high)
+
+    def step() -> None:
+        np.bitwise_xor(high, low, out=high)
+        np.left_shift(odd, _SHIFTS, out=scratch)
+        np.bitwise_xor(low, crossed, out=low)
+        np.right_shift(s3, 19, out=s3)
+        np.bitwise_xor(high, scratch, out=high)
+
+    return step
 
 
 def _to_bits(words: np.ndarray) -> np.ndarray:
@@ -106,7 +123,7 @@ def _jump_matrix(j: int) -> np.ndarray:
     """
     if j == 0:
         basis = _to_words(np.eye(256, dtype=np.uint8)).T.copy()
-        _advance(basis)
+        _stepper(basis)()
         power = _to_bits(basis.T)
     else:
         half = _jump_matrix(j - 1)
@@ -118,7 +135,9 @@ def _jump_matrix(j: int) -> np.ndarray:
 def _block_randoms(state: list[int], n: int) -> tuple[np.ndarray, list[int]]:
     """The next n draws from ``state`` and the state after them, via lanes."""
     n = operator.index(n)
-    a = (n - 1).bit_length() // 2
+    # Lanes of m <= sqrt(n - 1) steps: few Python-level steps, each over
+    # many lanes.
+    a = ((n - 1).bit_length() - 1) // 2
     m = 1 << a
     lanes = -(-n // m)
     # Lane k starts k*m steps on; each doubling round jumps the lanes built
@@ -131,20 +150,29 @@ def _block_randoms(state: list[int], n: int) -> tuple[np.ndarray, list[int]]:
         bits[built:built + more] = _gf2_matmul(bits[:more], _jump_matrix(j))
         built, j = built + more, j + 1
     s = _to_words(bits).T.copy()
+    advance = _stepper(s)
     # The last lane makes only the steps the draw still needs; its state
     # after them is the generator's state after n draws.
     last = n - (lanes - 1) * m
     s1_seen = np.empty((m, lanes), dtype=np.uint64)
     for step in range(m):
         s1_seen[step] = s[1]
-        _advance(s)
+        advance()
         if step + 1 == last:
             end = [int(w) for w in s[:, -1]]
-    x = s1_seen * np.uint64(5)
-    x = (x << 7) | (x >> 57)
+    # The output rotl(5 * s1, 7) * 9 >> 11, scaled by 2^-53, in place; the
+    # scaling writes the lanes out one after another.
+    x = s1_seen
+    x *= np.uint64(5)
+    high = x >> np.uint64(57)
+    x <<= np.uint64(7)
+    x |= high
+    del high
     x *= np.uint64(9)
-    out = (x >> 11).astype(np.float64) * (1.0 / (1 << 53))
-    return out.T.reshape(-1)[:n], end
+    x >>= np.uint64(11)
+    out = np.empty((lanes, m))
+    np.multiply(x.T, 1.0 / (1 << 53), out=out)
+    return out.reshape(-1)[:n], end
 
 
 class Xoshiro256StarStar:

@@ -7,7 +7,11 @@ import csv
 import hashlib
 import io
 import json
+import os
+import pathlib
 import random
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -265,12 +269,26 @@ class TestMalformedInput:
         ["--N-grid", "10", "--delta-grid", "0.01", "--order", "x"],
         ["--N-grid", "10,x", "--delta-grid", "0.01", "--order", "2"],
         ["--N-grid", "10", "--delta-grid", "0.01,y", "--order", "2"],
-    ], ids=["order", "n-grid", "delta-grid"])
+        ["--N-grid", "1.5e0", "--delta-grid", "0.01", "--order", "2"],
+        ["--N-grid", "10,inf", "--delta-grid", "0.01", "--order", "2"],
+        ["--N-grid", "nan", "--delta-grid", "0.01", "--order", "2"],
+        ["--N-grid", "1e400", "--delta-grid", "0.01", "--order", "2"],
+    ], ids=["order", "n-grid", "delta-grid", "n-grid-fraction", "n-grid-inf",
+            "n-grid-nan", "n-grid-overflow"])
     def test_bad_flag_exits_2(self, flags, capsys):
         assert main(self.SWEEP + flags) == EXIT_VALIDATION
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ParseError: ")
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("grid", ["1e2,1E3", "100.0,1000", "1e2,1.0e3"])
+    def test_integral_float_n_grid(self, grid, capsys):
+        flags = ["--delta-grid", "0.01", "--order", "2", "--N-grid"]
+        assert main(self.SWEEP + flags + ["100,1000"]) == EXIT_OK
+        plain = capsys.readouterr().out
+        assert main(self.SWEEP + flags + [grid]) == EXIT_OK
+        assert capsys.readouterr().out == plain
 
     @pytest.mark.parametrize("name, text", [
         ("truncated.json", '{"rho": [[0.5, 0.5], [0.5'),
@@ -296,6 +314,20 @@ class TestMalformedInput:
         assert main(["entropy", "--input", str(path),
                      "--measure", "shannon"]) == EXIT_VALIDATION
         assert "shape (2, 1)" in capsys.readouterr().err
+
+
+def test_import_builds_no_jump_matrix():
+    # The jump matrices are built on the first block draw, not at start-up.
+    code = ("import hypentropy.cli\n"
+            "from hypentropy import rng\n"
+            "hypentropy.cli.build_parser()\n"
+            "print(rng._jump_matrix.cache_info().currsize)\n")
+    root = pathlib.Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0\n"
 
 
 class TestMalformedCaseFullInput:

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -294,6 +299,84 @@ class TestPerturbationFamilies:
             perturbation_family("CertaintySpread", 3, 1.0)
         with pytest.raises(BadDelta):
             perturbation_family("NoSuchFamily", 3, 0.1)
+
+
+def _two_draw_random_smooth(n, delta, seed):
+    """RandomSmooth as two draws of n, the base then each direction: the
+    stream the one-block draw must keep."""
+    rng = Xoshiro256StarStar(seed)
+    g = -np.log(1.0 - rng.randoms(n))
+    p = g / g.sum()
+    for _ in range(100):
+        u = rng.randoms(n)
+        d = p * (u - float(np.dot(p, u)))
+        l1 = float(np.abs(d).sum())
+        if l1 == 0.0:
+            continue
+        q = p + (delta / l1) * d
+        if np.all(q >= 0.0) and np.all(q <= 1.0):
+            return p, q
+    raise AssertionError("the oracle found no perturbation")
+
+
+# Prints the SHA-256 of block draws and of a RandomSmooth base, whose bits
+# must not depend on the BLAS thread count.  The perturbed array is left out:
+# its np.dot is a BLAS reduction.
+_THREAD_DIGESTS = """
+import hashlib
+from hypentropy.distributions import perturbation_family
+from hypentropy.rng import Xoshiro256StarStar
+for n in (4096, 200_000):
+    print(hashlib.sha256(Xoshiro256StarStar(n).randoms(n).tobytes()).hexdigest())
+base = perturbation_family("RandomSmooth", 100_000, 0.01, seed=0).base.p
+print(hashlib.sha256(base.tobytes()).hexdigest())
+"""
+
+
+class TestRandomSmoothDraws:
+    """RandomSmooth draws its base and first direction as one block of 2n,
+    which must give the bits of two draws of n."""
+
+    @pytest.mark.parametrize("n", list(range(2, 70))
+                             + [101, 257, 1001, 33_333, 100_001])
+    def test_one_block_keeps_the_bits(self, n):
+        for seed in (0, 7, 2**64 - 1):
+            for delta in (0.01, 0.3):
+                pair = perturbation_family("RandomSmooth", n, delta, seed=seed)
+                p, q = _two_draw_random_smooth(n, delta, seed)
+                assert pair.base.p.tobytes() == p.tobytes()
+                assert pair.perturbed.p.tobytes() == q.tobytes()
+
+    @pytest.mark.parametrize("n, delta, seed, calls", [
+        (257, 0.5, 0, 2), (128, 0.5, 3, 4), (64, 0.6, 0, 7)])
+    def test_redraws_keep_the_bits(self, n, delta, seed, calls, monkeypatch):
+        draws = []
+        randoms = Xoshiro256StarStar.randoms
+
+        def counted(self, k):
+            draws.append(k)
+            return randoms(self, k)
+
+        monkeypatch.setattr(Xoshiro256StarStar, "randoms", counted)
+        pair = perturbation_family("RandomSmooth", n, delta, seed=seed)
+        assert draws == [2 * n] + [n] * (calls - 1)
+        p, q = _two_draw_random_smooth(n, delta, seed)
+        assert pair.base.p.tobytes() == p.tobytes()
+        assert pair.perturbed.p.tobytes() == q.tobytes()
+
+    def test_block_draws_ignore_the_blas_thread_count(self):
+        root = pathlib.Path(__file__).resolve().parent.parent
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=str(root / "src"),
+                       OPENBLAS_NUM_THREADS=threads)
+            proc = subprocess.run([sys.executable, "-c", _THREAD_DIGESTS],
+                                  env=env, capture_output=True, text=True,
+                                  timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            digests.append(proc.stdout.split())
+        assert len(digests[0]) == 3
+        assert digests[0] == digests[1]
 
 
 class TestSerialization:
