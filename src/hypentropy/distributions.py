@@ -222,19 +222,34 @@ class PerturbationPair:
 FAMILIES = ("CertaintySpread", "UniformSpike", "RandomSmooth")
 
 
-def _certainty_spread(n: int, delta: float) -> tuple[np.ndarray, np.ndarray]:
+def _certainty_spread_base(n: int) -> np.ndarray:
     p = np.zeros(n)
     p[0] = 1.0
+    return p
+
+
+def _certainty_spread(n: int, delta: float) -> np.ndarray:
     q = np.full(n, delta / (2.0 * (n - 1)))
     q[0] = 1.0 - delta / 2.0
-    return p, q
+    return q
 
 
-def _uniform_spike(n: int, delta: float) -> tuple[np.ndarray, np.ndarray]:
-    p = np.full(n, 1.0 / n)
+def _uniform_base(n: int) -> np.ndarray:
+    return np.full(n, 1.0 / n)
+
+
+def _uniform_spike(n: int, delta: float) -> np.ndarray:
     q = np.full(n, (1.0 - delta / 2.0) / n)
     q[0] += delta / 2.0
-    return p, q
+    return q
+
+
+# The families whose base depends on n alone, so that a sweep builds it once
+# per n: family -> (base(n), perturbed(n, delta)).
+_ANALYTIC = {
+    "CertaintySpread": (_certainty_spread_base, _certainty_spread),
+    "UniformSpike": (_uniform_base, _uniform_spike),
+}
 
 
 def _random_smooth(
@@ -260,6 +275,14 @@ def _random_smooth(
     raise BadDelta(f"could not realize an L1 perturbation of size {delta!r}")
 
 
+def _check_cell(n: int, delta: float) -> None:
+    """Reject a family cell whose n or delta no family can realize."""
+    if n < 2:
+        raise BadDelta("perturbation families need at least two states")
+    if not (0.0 < delta < 1.0):
+        raise BadDelta(f"delta must lie in (0, 1), got {delta!r}")
+
+
 def perturbation_family(
     family: str, n: int, delta: float, seed: int = 0
 ) -> PerturbationPair:
@@ -270,14 +293,10 @@ def perturbation_family(
     delta * (1 - 1/n)); RandomSmooth perturbs a seeded random base along a
     zero-sum direction with L1 distance exactly delta.
     """
-    if n < 2:
-        raise BadDelta("perturbation families need at least two states")
-    if not (0.0 < delta < 1.0):
-        raise BadDelta(f"delta must lie in (0, 1), got {delta!r}")
-    if family == "CertaintySpread":
-        p, q = _certainty_spread(n, delta)
-    elif family == "UniformSpike":
-        p, q = _uniform_spike(n, delta)
+    _check_cell(n, delta)
+    if family in _ANALYTIC:
+        base, perturbed = _ANALYTIC[family]
+        p, q = base(n), perturbed(n, delta)
     elif family == "RandomSmooth":
         p, q = _random_smooth(n, delta, Xoshiro256StarStar(seed))
     else:

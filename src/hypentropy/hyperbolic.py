@@ -83,9 +83,6 @@ class HyperbolicNumber:
         """Strictly positive: both coordinates > 0."""
         return self.x1 > 0.0 and self.x2 > 0.0
 
-    def is_nonnegative(self) -> bool:
-        return self.x1 >= 0.0 and self.x2 >= 0.0
-
     # -- ring operations -------------------------------------------------------
 
     def __add__(self, other: "HyperbolicNumber") -> "HyperbolicNumber":
@@ -117,9 +114,6 @@ class HyperbolicNumber:
 
     def succeq(self, other: "HyperbolicNumber") -> bool:
         return other.preceq(self)
-
-    def succ(self, other: "HyperbolicNumber") -> bool:
-        return other.prec(self)
 
     # -- rendering --------------------------------------------------------------
 

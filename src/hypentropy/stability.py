@@ -15,10 +15,12 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .distributions import (
+    _ANALYTIC,
     FAMILIES,
     HyperbolicDistribution,
     PerturbationPair,
     RealDistribution,
+    _check_cell,
     perturbation_family,
 )
 from .errors import CaseMismatch, DegenerateN, HypentropyError, LengthMismatch
@@ -36,12 +38,17 @@ __all__ = [
 ]
 
 
+def _l1(a: np.ndarray, b: np.ndarray) -> float:
+    """sum |a - b|, taking abs in place on the one difference array."""
+    diff = a - b
+    return float(np.abs(diff, out=diff).sum())
+
+
 def lesche_norm(P: RealDistribution, Q: RealDistribution) -> float:
     """L1 distance sum |p_s - q_s|."""
     if P.n != Q.n:
         raise LengthMismatch(f"length mismatch: {P.n} vs {Q.n}")
-    diff = P.p - Q.p
-    return float(np.abs(diff, out=diff).sum())
+    return _l1(P.p, Q.p)
 
 
 def lesche_norm_hyp(
@@ -52,9 +59,7 @@ def lesche_norm_hyp(
         raise LengthMismatch(f"length mismatch: {B.n} vs {C.n}")
     if B.case is not C.case:
         raise CaseMismatch(f"case mismatch: {B.case.value} vs {C.case.value}")
-    return HyperbolicNumber(
-        float(np.abs(B.p1 - C.p1).sum()), float(np.abs(B.p2 - C.p2).sum())
-    )
+    return HyperbolicNumber(_l1(B.p1, C.p1), _l1(B.p2, C.p2))
 
 
 @dataclass(frozen=True)
@@ -74,6 +79,7 @@ class StabilityRecord:
 def _evaluate_pair(
     pair: PerturbationPair,
     selection: Sequence[tuple[str, Optional[HyperbolicNumber]]],
+    base_memo: dict[tuple, float],
 ) -> list[Union[StabilityRecord, HypentropyError]]:
     """Stability records of several measures on one pair, in selection order.
 
@@ -83,18 +89,24 @@ def _evaluate_pair(
     hyperbolic measure shares its kernel values with the real measure.  Any
     closed-form measure of ``MEASURES`` can be swept; a measure that fails
     yields its error in place of a record.
+
+    ``base_memo`` holds the base's kernel values by (kernel, order).  A
+    caller passes a fresh one, or, for pairs that share one base object,
+    the same one, so that the base is evaluated once for all of them.
     """
     if pair.n < 2:
         raise DegenerateN("stability ratio needs at least two states")
     norm = embed_real(lesche_norm(pair.base, pair.perturbed))
     log_n = math.log(pair.n)
-    memo: dict[tuple, tuple[float, float]] = {}
+    pert_memo: dict[tuple, float] = {}
 
     def kernel(fn, *order: float) -> tuple[float, float]:
         key = (fn, *order)
-        if key not in memo:
-            memo[key] = (fn(pair.base.p, *order), fn(pair.perturbed.p, *order))
-        return memo[key]
+        if key not in base_memo:
+            base_memo[key] = fn(pair.base.p, *order)
+        if key not in pert_memo:
+            pert_memo[key] = fn(pair.perturbed.p, *order)
+        return base_memo[key], pert_memo[key]
 
     results: list[Union[StabilityRecord, HypentropyError]] = []
     for measure, order in selection:
@@ -133,7 +145,7 @@ def stability_ratio(
     log(N) * 1_D coordinatewise.  This is the sweep's pair evaluation with a
     single measure, so the two agree bit for bit.
     """
-    (result,) = _evaluate_pair(pair, [(measure, order)])
+    (result,) = _evaluate_pair(pair, [(measure, order)], {})
     if isinstance(result, HypentropyError):
         raise result
     return result
@@ -165,18 +177,35 @@ def _measure_key(measure: str, order: Optional[HyperbolicNumber]) -> tuple:
 def stability_sweep(config: SweepConfig) -> list[StabilityRecord]:
     """Evaluate every (family, measure, N, delta) cell deterministically.
 
-    Per-cell errors become error rows (machine-readable code in ``error``)
-    instead of aborting the sweep.  Output is sorted by
+    Each cell is ``perturbation_family(family, n, delta, seed=derive_seed(
+    config.seed, family, n, delta))``.  An analytic family's base depends on
+    n alone, so it is built, validated and evaluated once for all deltas of
+    that n.  Per-cell errors become error rows (machine-readable code in
+    ``error``) instead of aborting the sweep.  Output is sorted by
     (family, measure, N, delta).
     """
     records: list[StabilityRecord] = []
     for family in config.families:
+        analytic = _ANALYTIC.get(family)
         for n in config.n_grid:
+            base, base_memo = None, {}
             for delta in config.delta_grid:
-                cell_seed = derive_seed(config.seed, family, n, delta)
                 try:
-                    pair = perturbation_family(family, n, delta, seed=cell_seed)
-                    results = _evaluate_pair(pair, config.measures)
+                    if analytic is None:
+                        # A RandomSmooth base depends on the cell seed, so
+                        # its memo lasts one cell.
+                        pair = perturbation_family(
+                            family, n, delta,
+                            seed=derive_seed(config.seed, family, n, delta))
+                        base_memo = {}
+                    else:
+                        _check_cell(n, delta)
+                        if base is None:
+                            base = RealDistribution(analytic[0](n))
+                        pair = PerturbationPair(
+                            base, RealDistribution(analytic[1](n, delta)),
+                            family, delta, n)
+                    results = _evaluate_pair(pair, config.measures, base_memo)
                 except HypentropyError as exc:
                     results = [exc] * len(config.measures)
                 for (measure, order), result in zip(config.measures, results):

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import io
 import json
+import math
 import os
 import pathlib
 import random
@@ -15,10 +17,13 @@ import sys
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypentropy import SweepConfig, cli, embed_real, measures, stability_sweep, \
     verify
 from hypentropy.cli import (
+    STABILITY_CSV_HEADER,
     EXIT_INVARIANT,
     EXIT_IO,
     EXIT_NONCONVERGENT,
@@ -726,3 +731,97 @@ class TestFlagsPerCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "unrecognized arguments" in captured.err
+
+
+def _mostly(good: st.SearchStrategy, bad: list) -> st.SearchStrategy:
+    """``good`` nine times in ten, else one of the malformed values ``bad``."""
+    return st.sampled_from(range(10)).flatmap(
+        lambda i: st.sampled_from(bad) if i == 9 else good)
+
+
+def _grid(fixed: list, numbers: st.SearchStrategy) -> st.SearchStrategy:
+    """A comma-separated grid of fixed and drawn tokens."""
+    token = st.one_of(st.sampled_from(fixed), numbers)
+    return st.lists(token, min_size=1, max_size=4).map(",".join)
+
+
+_FLOATS = st.floats(allow_nan=True, allow_infinity=True).map(repr)
+
+
+class TestStabilityFuzz:
+    """Random `stability` command lines end in finite output or a typed
+    error: an exit code of the contract, no traceback, and with exit code 0
+    no NaN or infinity outside an error row's norm and ratio columns (the
+    order and delta columns echo the command line)."""
+
+    FAMILIES = _mostly(st.lists(st.sampled_from(
+        ["CertaintySpread", "UniformSpike", "RandomSmooth"]),
+        min_size=1, max_size=3), [["NoSuchFamily"]])
+    # N is capped at 1e4, so that no example builds a large array.
+    N_GRID = _mostly(_grid(["0", "1", "-1", "-7", "2", "3", "97", "1e3",
+                            "1E2", "100.0", "2.5e3", "1e4", " "],
+                           st.integers(-3, 10_000).map(str)),
+                     ["", "1.5", "x", "10,inf", "nan"])
+    DELTA_GRID = _mostly(_grid(["0", "1", "-0.1", "nan", "inf", "-inf",
+                                "0.01", "0.3", "0.999", "1e-3", "1.5",
+                                "5e-324", "1e-300"], _FLOATS),
+                         ["", "y", "0.1,z"])
+    MEASURES = st.lists(st.sampled_from(_measure_choices("stability")),
+                        min_size=1, max_size=4)
+    ORDER_VALUE = st.one_of(st.sampled_from(
+        ["2", "0.5", "0", "1", "-1", "nan", "inf", "1e300", "1e-300", "1000"]),
+        _FLOATS)
+    ORDER = _mostly(st.one_of(
+        st.none(), ORDER_VALUE,
+        st.tuples(ORDER_VALUE, ORDER_VALUE).map(",".join)),
+        ["x", "1,1,1", ""])
+
+    @staticmethod
+    def rows(text: str, fmt: str) -> list:
+        """(order, delta, values, error) of each output row."""
+        if fmt == "json":
+            return [(r["order"] or [], r["delta"], r["norm"] + r["ratio"],
+                     r["error"]) for r in json.loads(text)]
+        lines = list(csv.reader(io.StringIO(text)))
+        assert lines[0] == STABILITY_CSV_HEADER
+        return [([float(x) for x in r[2:4] if x], float(r[5]),
+                 [float(x) for x in r[6:10]], r[10] or None)
+                for r in lines[1:]]
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(families=FAMILIES, n_grid=N_GRID, delta_grid=DELTA_GRID,
+           measures=MEASURES, order=ORDER,
+           fmt=st.sampled_from(["csv", "json"]),
+           basis=st.sampled_from(["idempotent", "unit-k"]),
+           seed=st.integers(-3, 2**64))
+    def test_finite_output_or_typed_error(self, families, n_grid, delta_grid,
+                                          measures, order, fmt, basis, seed):
+        # The "--flag=value" form keeps a value such as "-1" a value.
+        argv = ["stability", f"--N-grid={n_grid}",
+                f"--delta-grid={delta_grid}", f"--format={fmt}",
+                f"--basis={basis}", f"--seed={seed}"]
+        argv += [f"--family={f}" for f in families]
+        argv += [f"--measure={m}" for m in measures]
+        if order is not None:
+            argv.append(f"--order={order}")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in {0, 1, 2, 3, 4}
+        assert "Traceback" not in err.getvalue()
+        if code != EXIT_OK:
+            return
+        given_order = cli._parse_order(order) if order is not None else None
+        for row_order, delta, values, error in self.rows(out.getvalue(), fmt):
+            if row_order:
+                assert list(map(repr, row_order)) == \
+                    [repr(given_order.x1), repr(given_order.x2)]
+            if error is None:
+                assert all(map(math.isfinite, values)), values
+                assert math.isfinite(delta)
+            else:
+                assert all(map(math.isnan, values)), values
+                assert math.isfinite(delta) or error == "BadDelta"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import math
 
@@ -24,6 +25,7 @@ from hypentropy import (
     stability_sweep,
     validate,
 )
+from hypentropy import distributions, stability
 from hypentropy.cli import main
 from hypentropy.distributions import FAMILIES
 from hypentropy.measures import MEASURES
@@ -33,7 +35,7 @@ from hypentropy.errors import (
     HypentropyError,
     LengthMismatch,
 )
-from hypentropy.rng import derive_seed
+from hypentropy.rng import Xoshiro256StarStar, derive_seed
 
 from conftest import oracle_renyi, oracle_shannon, random_full
 
@@ -85,6 +87,12 @@ class TestLescheNormHyp:
         Q = dist(rng.dirichlet(np.ones(5)))
         got = lesche_norm_hyp(embed(P), embed(Q))
         assert got == embed_real(lesche_norm(P, Q))
+
+    def test_each_coordinate_is_the_real_norm(self, rng):
+        B, C = random_full(rng, 7), random_full(rng, 7)
+        assert lesche_norm_hyp(B, C) == HyperbolicNumber(
+            lesche_norm(B.projection1(), C.projection1()),
+            lesche_norm(B.projection2(), C.projection2()))
 
     def test_case_mismatch(self, fixture_b):
         E = validate([(0.3, 0.0), (0.7, 0.0)])
@@ -245,6 +253,151 @@ class TestSweep:
     def test_unknown_family_rejected(self):
         with pytest.raises(HypentropyError):
             self.make_config(families=("NoSuchFamily",))
+
+
+SWEEP_MEASURES = ("shannon", "renyi", "strong_shannon_hyp", "renyi_hyp")
+
+
+def _per_cell_sweep(config: SweepConfig) -> list:
+    """The sweep as one perturbation_family and one stability_ratio call per
+    cell and measure, sorted as stability_sweep sorts."""
+    records = []
+    for family in config.families:
+        for n in config.n_grid:
+            for delta in config.delta_grid:
+                try:
+                    pair = perturbation_family(
+                        family, n, delta,
+                        seed=derive_seed(config.seed, family, n, delta))
+                except HypentropyError as exc:
+                    pair = exc
+                for measure, order in config.measures:
+                    try:
+                        if isinstance(pair, HypentropyError):
+                            raise pair
+                        records.append(stability_ratio(measure, pair, order))
+                    except HypentropyError as exc:
+                        nan = HyperbolicNumber(math.nan, math.nan)
+                        records.append(stability.StabilityRecord(
+                            family, n, delta, measure, order, norm=nan,
+                            ratio=nan, error=type(exc).__name__))
+    records.sort(key=lambda r: (
+        r.family, stability._measure_key(r.measure, r.order), r.n, r.delta))
+    return records
+
+
+class TestSweepSharesTheBase:
+    """An analytic family's base depends on N alone: the sweep builds,
+    validates and evaluates it once per N, and every delta reuses it."""
+
+    GRID = dict(n_grid=(10, 1000, 100_000), delta_grid=(0.01, 0.3, 0.001))
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        bases, validated, passes = [], [], []
+
+        for family, (base, perturbed) in distributions._ANALYTIC.items():
+            def counted(n, base=base):
+                bases.append(base(n))
+                return bases[-1]
+            monkeypatch.setitem(distributions._ANALYTIC, family,
+                                (counted, perturbed))
+
+        post_init = RealDistribution.__post_init__
+
+        def counted_post_init(self):
+            validated.append(self.p)
+            post_init(self)
+        monkeypatch.setattr(RealDistribution, "__post_init__",
+                            counted_post_init)
+
+        def counted_kernel(fn):
+            def kernel(p, *order):
+                passes.append((fn.__name__, order, p))
+                return fn(p, *order)
+            return kernel
+        kernels = {m.kernel: counted_kernel(m.kernel)
+                   for m in MEASURES.values() if m.kernel is not None}
+        monkeypatch.setattr(stability, "MEASURES", {
+            name: dataclasses.replace(m, kernel=kernels.get(m.kernel))
+            for name, m in MEASURES.items()})
+        return bases, validated, passes
+
+    @pytest.mark.parametrize("order, orders", [
+        (embed_real(2.0), [(2.0,)]),
+        (HyperbolicNumber(0.5, 2.0), [(0.5,), (2.0,)]),
+    ])
+    def test_one_base_and_one_pass_per_kernel(self, counts, order, orders):
+        bases, validated, passes = counts
+        config = SweepConfig(
+            families=("CertaintySpread", "UniformSpike"),
+            measures=tuple((m, order if MEASURES[m].check else None)
+                           for m in SWEEP_MEASURES), **self.GRID)
+        records = stability_sweep(config)
+        assert len(records) == 2 * 3 * 3 * 4
+        assert all(r.error is None for r in records)
+        assert len(bases) == 6
+        assert sum(any(p is b for b in bases) for p in validated) == 6
+        assert len(validated) == 6 + 18
+        want = sorted([("_neg_xlogx_sum", ())]
+                      + [("_renyi_coordinate", a) for a in orders])
+        for b in bases:
+            got = sorted((name, a) for name, a, p in passes if p is b)
+            assert got == want
+        assert len(passes) == (6 + 18) * len(want)
+
+    def test_random_smooth_draws_one_block_per_cell(self, monkeypatch):
+        draws = []
+        randoms = Xoshiro256StarStar.randoms
+
+        def counted(self, k):
+            draws.append(k)
+            return randoms(self, k)
+        monkeypatch.setattr(Xoshiro256StarStar, "randoms", counted)
+        config = SweepConfig(
+            families=("RandomSmooth",),
+            measures=tuple((m, embed_real(2.0) if MEASURES[m].check else None)
+                           for m in SWEEP_MEASURES), **self.GRID)
+        assert all(r.error is None for r in stability_sweep(config))
+        assert draws == [2 * n for n in self.GRID["n_grid"]
+                         for _ in self.GRID["delta_grid"]]
+
+
+class TestSweepAgreesWithPerCellPath:
+    """Every record of stability_sweep, error rows included, equals the
+    per-cell path: perturbation_family with the cell's derived seed, then
+    stability_ratio."""
+
+    ALPHA = HyperbolicNumber(0.5, 2.0)
+
+    @pytest.mark.parametrize("n_grid, delta_grid", [
+        ((10, 300, 10, 2), (0.01, 0.2, 0.01)),
+        ((10, 1, 300), (0.0, 1.5, 0.01, 0.2)),
+        ((1, 2, 50), (1.5, 0.3, 0.0, 0.3)),
+    ], ids=["repeated-n-and-delta", "invalid-deltas-first", "n-1-first"])
+    def test_records_equal_the_per_cell_path(self, n_grid, delta_grid):
+        selection = tuple(
+            (name, self.ALPHA if m.check else None)
+            for name, m in MEASURES.items() if m.kernel is not None)
+        config = SweepConfig(families=FAMILIES, n_grid=n_grid,
+                             delta_grid=delta_grid, measures=selection,
+                             seed=7)
+        records = stability_sweep(config)
+        expected = _per_cell_sweep(config)
+        assert len(records) == len(expected) == (
+            3 * len(n_grid) * len(delta_grid) * len(selection))
+        for rec, want in zip(records, expected):
+            assert (rec.family, rec.n, rec.delta, rec.measure, rec.order,
+                    rec.error) == (want.family, want.n, want.delta,
+                                   want.measure, want.order, want.error)
+            if rec.error is None:
+                assert rec.norm == want.norm and rec.ratio == want.ratio
+            else:
+                assert repr((rec.norm, rec.ratio)) == repr(
+                    (want.norm, want.ratio))
+            valid = rec.n >= 2 and 0.0 < rec.delta < 1.0
+            assert (rec.error == "BadDelta") == (not valid)
+        assert any(r.error is None for r in records)
 
 
 class TestSignatures:
