@@ -16,6 +16,7 @@ import itertools
 import json
 import math
 import warnings
+import weakref
 from dataclasses import dataclass
 from typing import Optional
 
@@ -219,9 +220,6 @@ class PerturbationPair:
     n: int
 
 
-FAMILIES = ("CertaintySpread", "UniformSpike", "RandomSmooth")
-
-
 def _certainty_spread_base(n: int) -> np.ndarray:
     p = np.zeros(n)
     p[0] = 1.0
@@ -244,12 +242,18 @@ def _uniform_spike(n: int, delta: float) -> np.ndarray:
     return q
 
 
-# The families whose base depends on n alone, so that a sweep builds it once
-# per n: family -> (base(n), perturbed(n, delta)).
+# The families whose base depends on n alone: family -> (base(n),
+# perturbed(n, delta)).  RandomSmooth draws both from the cell seed.
 _ANALYTIC = {
     "CertaintySpread": (_certainty_spread_base, _certainty_spread),
     "UniformSpike": (_uniform_base, _uniform_spike),
 }
+FAMILIES = (*_ANALYTIC, "RandomSmooth")
+
+
+# The analytic bases alive, by (family, n), held weakly: the pairs alive at
+# once share one base, and it is freed with the last of them.
+_BASES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 def _random_smooth(
@@ -275,14 +279,6 @@ def _random_smooth(
     raise BadDelta(f"could not realize an L1 perturbation of size {delta!r}")
 
 
-def _check_cell(n: int, delta: float) -> None:
-    """Reject a family cell whose n or delta no family can realize."""
-    if n < 2:
-        raise BadDelta("perturbation families need at least two states")
-    if not (0.0 < delta < 1.0):
-        raise BadDelta(f"delta must lie in (0, 1), got {delta!r}")
-
-
 def perturbation_family(
     family: str, n: int, delta: float, seed: int = 0
 ) -> PerturbationPair:
@@ -291,19 +287,30 @@ def perturbation_family(
     CertaintySpread spreads a point mass (L1 distance exactly delta);
     UniformSpike adds a spike of delta/2 on a uniform base (L1 distance
     delta * (1 - 1/n)); RandomSmooth perturbs a seeded random base along a
-    zero-sum direction with L1 distance exactly delta.
+    zero-sum direction with L1 distance exactly delta.  The pairs of one
+    analytic family and n that are alive at once share one read-only base.
     """
-    _check_cell(n, delta)
-    if family in _ANALYTIC:
-        base, perturbed = _ANALYTIC[family]
-        p, q = base(n), perturbed(n, delta)
-    elif family == "RandomSmooth":
-        p, q = _random_smooth(n, delta, Xoshiro256StarStar(seed))
-    else:
-        raise BadDelta(f"unknown family {family!r}")
-    return PerturbationPair(
-        RealDistribution(p), RealDistribution(q), family, delta, n
-    )
+    if n < 2:
+        raise BadDelta("perturbation families need at least two states")
+    if not (0.0 < delta < 1.0):
+        raise BadDelta(f"delta must lie in (0, 1), got {delta!r}")
+    try:
+        if family in _ANALYTIC:
+            base, perturbed = _ANALYTIC[family]
+            P = _BASES.get((family, n))
+            if P is None:
+                p = base(n)
+                p.flags.writeable = False
+                P = _BASES[family, n] = RealDistribution(p)
+            q = perturbed(n, delta)
+        elif family == "RandomSmooth":
+            p, q = _random_smooth(n, delta, Xoshiro256StarStar(seed))
+            P = RealDistribution(p)
+        else:
+            raise BadDelta(f"unknown family {family!r}")
+    except MemoryError:
+        raise BadDelta(f"cannot allocate a family of {n} states") from None
+    return PerturbationPair(P, RealDistribution(q), family, delta, n)
 
 
 # --- serialization -----------------------------------------------------------

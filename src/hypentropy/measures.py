@@ -179,7 +179,8 @@ class Measure:
     def order_args(self, name: str, order: Optional[HyperbolicNumber]
                    ) -> tuple[tuple, tuple]:
         """Kernel order arguments per coordinate, after the domain check; a
-        real measure takes q = order.x1 in both."""
+        real measure takes q = order.x1 in both, and its unused e2
+        coordinate must be finite."""
         if self.check is None:
             return (), ()
         if order is None:
@@ -188,6 +189,8 @@ class Measure:
             self.check(order)
             return (order.x1,), (order.x2,)
         self.check(order.x1)
+        if not math.isfinite(order.x2):
+            raise NonFinite(f"order {order} has a non-finite e2 coordinate")
         return (order.x1,), (order.x1,)
 
     def value(self, v1: float, v2: float) -> HyperbolicNumber:
@@ -200,31 +203,11 @@ class Measure:
         return HyperbolicNumber(v1, v2)
 
 
-def _real(name: str, P: RealDistribution, *q: float) -> float:
-    """A real measure: its kernel on P.p at order q."""
-    m = MEASURES[name]
-    if m.check is not None:
-        m.check(*q)
-    v = m.kernel(P.p, *q)
-    return m.value(v, v).x1
-
-
 def _require_full(B: HyperbolicDistribution, measure: str) -> None:
     if B.case is not Case.FULL:
         raise CaseMismatch(
             f"{measure} is defined for case full only, got {B.case.value}"
         )
-
-
-def _lift(name: str, B: HyperbolicDistribution,
-          alpha: Optional[HyperbolicNumber] = None) -> HyperbolicNumber:
-    """A hyperbolic measure: its kernel on each projection at the matching
-    order coordinate."""
-    m = MEASURES[name]
-    if not m.any_case:
-        _require_full(B, name)
-    a1, a2 = m.order_args(name, alpha)
-    return m.value(m.kernel(B.p1, *a1), m.kernel(B.p2, *a2))
 
 
 def evaluate(
@@ -235,7 +218,8 @@ def evaluate(
     """The named measure of a real or hyperbolic distribution.
 
     A real measure takes q = order.x1 and needs real input; its value comes
-    back as v * 1_D.  A hyperbolic measure reads real input as its
+    back as v * 1_D.  A hyperbolic measure evaluates its kernel on each
+    projection at the matching order coordinate, and reads real input as its
     embedding, in place.
     """
     m = MEASURES.get(name)
@@ -245,24 +229,30 @@ def evaluate(
         if not m.hyperbolic:
             raise HypentropyError(
                 f"measure {name!r} expects a real distribution input")
-        return m.route(D) if m.route is not None else _lift(name, D, order)
-    if m.route is not None:
+        if m.route is not None:
+            return m.route(D)
+        if not m.any_case:
+            _require_full(D, name)
+        p1, p2 = D.p1, D.p2
+    elif m.route is not None:
         return m.route(embed(D)) if m.hyperbolic else embed_real(m.route(D))
+    else:
+        p1 = p2 = D.p
     a1, a2 = m.order_args(name, order)
-    v1 = m.kernel(D.p, *a1)
-    return m.value(v1, v1 if a2 == a1 else m.kernel(D.p, *a2))
+    v1 = m.kernel(p1, *a1)
+    return m.value(v1, v1 if p2 is p1 and a2 == a1 else m.kernel(p2, *a2))
 
 
 # --- real measures -----------------------------------------------------------
 
 def shannon(P: RealDistribution) -> float:
     """Shannon entropy -sum p log p."""
-    return _real("shannon", P)
+    return evaluate("shannon", P).x1
 
 
 def extropy(P: RealDistribution) -> float:
     """Extropy -sum (1-p) log(1-p), the complementary dual of entropy."""
-    return _real("extropy", P)
+    return evaluate("extropy", P).x1
 
 
 @dataclass(frozen=True)
@@ -290,22 +280,22 @@ def extropy_duality_check(P: RealDistribution) -> DualityResult:
 def renyi(P: RealDistribution, q: float) -> float:
     """Renyi entropy of order q >= 0, q != 1; zero probabilities contribute 0,
     and order 0 is the Hartley entropy."""
-    return _real("renyi", P, q)
+    return evaluate("renyi", P, HyperbolicNumber(q, q)).x1
 
 
 def hartley(P: RealDistribution) -> float:
     """Hartley entropy log N, counting all N states (0**0 := 1)."""
-    return _real("hartley", P)
+    return evaluate("hartley", P).x1
 
 
 def collision(P: RealDistribution) -> float:
     """Collision entropy -log sum p^2, the Renyi entropy of order 2."""
-    return _real("collision", P)
+    return evaluate("collision", P).x1
 
 
 def renyi_extropy(P: RealDistribution, q: float) -> float:
     """Renyi extropy of order q >= 0, q != 1, for an N-state distribution."""
-    return _real("renyi_extropy", P, q)
+    return evaluate("renyi_extropy", P, HyperbolicNumber(q, q)).x1
 
 
 def shannon_via_generating(P: RealDistribution) -> float:
@@ -329,7 +319,7 @@ def strong_shannon_hyp(B: HyperbolicDistribution) -> HyperbolicNumber:
     every entry annihilates its log factor, so the result lives on the
     corresponding zero-divisor line.
     """
-    return _lift("strong_shannon_hyp", B)
+    return evaluate("strong_shannon_hyp", B)
 
 
 def strong_shannon_via_generating(B: HyperbolicDistribution) -> HyperbolicNumber:
@@ -368,7 +358,7 @@ def renyi_hyp(B: HyperbolicDistribution, alpha: HyperbolicNumber) -> HyperbolicN
     an order on the zero-divisor line of 1_D - alpha is rejected rather than
     silently mixing a Shannon coordinate with a Renyi coordinate.
     """
-    return _lift("renyi_hyp", B, alpha)
+    return evaluate("renyi_hyp", B, alpha)
 
 
 def renyi_hyp_mixed(
@@ -479,17 +469,17 @@ def renyi_hyp_limit(B: HyperbolicDistribution) -> HyperbolicNumber:
 
 def hartley_hyp(B: HyperbolicDistribution) -> HyperbolicNumber:
     """Hyperbolic Hartley entropy: log N in both coordinates."""
-    return _lift("hartley_hyp", B)
+    return evaluate("hartley_hyp", B)
 
 
 def collision_hyp(B: HyperbolicDistribution) -> HyperbolicNumber:
     """Hyperbolic collision entropy: order 2_D Renyi entropy."""
-    return _lift("collision_hyp", B)
+    return evaluate("collision_hyp", B)
 
 
 def strong_extropy_hyp(B: HyperbolicDistribution) -> HyperbolicNumber:
     """Strong hyperbolic extropy -sum (1_D - rho) Log_D (1_D - rho)."""
-    return _lift("strong_extropy_hyp", B)
+    return evaluate("strong_extropy_hyp", B)
 
 
 def renyi_extropy_hyp(
@@ -501,7 +491,7 @@ def renyi_extropy_hyp(
     order domain of ``renyi_hyp``.  A single-state distribution returns 0_D
     with a warning, since the (N-1) prefactor annihilates the expression.
     """
-    return _lift("renyi_extropy_hyp", B, alpha)
+    return evaluate("renyi_extropy_hyp", B, alpha)
 
 
 MEASURES: dict[str, Measure] = {

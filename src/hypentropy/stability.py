@@ -8,6 +8,7 @@ q != 1 admit adversarial pairs that push it toward 1 as N grows.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
@@ -15,12 +16,10 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .distributions import (
-    _ANALYTIC,
     FAMILIES,
     HyperbolicDistribution,
     PerturbationPair,
     RealDistribution,
-    _check_cell,
     perturbation_family,
 )
 from .errors import CaseMismatch, DegenerateN, HypentropyError, LengthMismatch
@@ -179,44 +178,34 @@ def stability_sweep(config: SweepConfig) -> list[StabilityRecord]:
 
     Each cell is ``perturbation_family(family, n, delta, seed=derive_seed(
     config.seed, family, n, delta))``.  An analytic family's base depends on
-    n alone, so it is built, validated and evaluated once for all deltas of
-    that n.  Per-cell errors become error rows (machine-readable code in
-    ``error``) instead of aborting the sweep.  Output is sorted by
-    (family, measure, N, delta).
+    n alone, and ``perturbation_family`` returns one base object for all
+    deltas of that n while the sweep holds it, so it is evaluated once for
+    all of them.  Per-cell
+    errors become error rows (machine-readable code in ``error``) instead of
+    aborting the sweep.  Output is sorted by (family, measure, N, delta).
     """
     records: list[StabilityRecord] = []
-    for family in config.families:
-        analytic = _ANALYTIC.get(family)
-        for n in config.n_grid:
-            base, base_memo = None, {}
-            for delta in config.delta_grid:
-                try:
-                    if analytic is None:
-                        # A RandomSmooth base depends on the cell seed, so
-                        # its memo lasts one cell.
-                        pair = perturbation_family(
-                            family, n, delta,
-                            seed=derive_seed(config.seed, family, n, delta))
-                        base_memo = {}
-                    else:
-                        _check_cell(n, delta)
-                        if base is None:
-                            base = RealDistribution(analytic[0](n))
-                        pair = PerturbationPair(
-                            base, RealDistribution(analytic[1](n, delta)),
-                            family, delta, n)
-                    results = _evaluate_pair(pair, config.measures, base_memo)
-                except HypentropyError as exc:
-                    results = [exc] * len(config.measures)
-                for (measure, order), result in zip(config.measures, results):
-                    if isinstance(result, HypentropyError):
-                        result = StabilityRecord(
-                            family, n, delta, measure, order,
-                            norm=HyperbolicNumber(math.nan, math.nan),
-                            ratio=HyperbolicNumber(math.nan, math.nan),
-                            error=type(result).__name__,
-                        )
-                    records.append(result)
+    base, base_memo = None, {}
+    for family, n, delta in itertools.product(
+            config.families, config.n_grid, config.delta_grid):
+        try:
+            pair = perturbation_family(
+                family, n, delta,
+                seed=derive_seed(config.seed, family, n, delta))
+            if pair.base is not base:
+                base, base_memo = pair.base, {}
+            results = _evaluate_pair(pair, config.measures, base_memo)
+        except HypentropyError as exc:
+            results = [exc] * len(config.measures)
+        for (measure, order), result in zip(config.measures, results):
+            if isinstance(result, HypentropyError):
+                result = StabilityRecord(
+                    family, n, delta, measure, order,
+                    norm=HyperbolicNumber(math.nan, math.nan),
+                    ratio=HyperbolicNumber(math.nan, math.nan),
+                    error=type(result).__name__,
+                )
+            records.append(result)
     records.sort(key=lambda r: (
         r.family, _measure_key(r.measure, r.order), r.n, r.delta))
     return records

@@ -14,10 +14,11 @@ import pathlib
 import random
 import subprocess
 import sys
+import tempfile
 import warnings
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hypentropy import SweepConfig, cli, embed_real, measures, stability_sweep, \
@@ -156,7 +157,7 @@ class TestEntropyCommand:
         code = main(["entropy", "--input", hyp_path, "--measure", "shannon"])
         assert code == EXIT_VALIDATION
 
-    @pytest.mark.parametrize("order", ["inf,2", "nan,2"])
+    @pytest.mark.parametrize("order", ["inf,2", "nan,2", "2,nan", "2,inf"])
     def test_nonfinite_order_exits_2_without_warning(self, real_path, order,
                                                      capsys):
         with warnings.catch_warnings():
@@ -257,6 +258,33 @@ class TestStabilityCommand:
         rows = capsys.readouterr().out.splitlines()
         assert rows[1] == ("UniformSpike,renyi_hyp,1000,2,100000,0.01,"
                            "nan,nan,nan,nan,NonFinite")
+
+    @pytest.mark.parametrize("order", ["2,nan", "2,inf"])
+    def test_nonfinite_unused_order_is_an_error_row(self, order, capsys):
+        code = main(["stability", "--family", "UniformSpike", "--N-grid",
+                     "10", "--delta-grid", "0.1", "--measure", "renyi",
+                     "--measure", "shannon", "--order", order])
+        assert code == EXIT_OK
+        rows = capsys.readouterr().out.splitlines()
+        assert rows[1] == (f"UniformSpike,renyi,{order},10,"
+                           "0.10000000000000001,nan,nan,nan,nan,NonFinite")
+        assert rows[2].startswith("UniformSpike,shannon,,,10,")
+        assert rows[2].endswith(",")
+
+    def test_unallocatable_n_is_an_error_row(self, capsys):
+        # RandomSmooth is left out: it sets up its draw lanes before the
+        # allocation that fails.
+        code = main(["stability", "--family", "CertaintySpread", "--family",
+                     "UniformSpike", "--N-grid", "10,1e17", "--delta-grid",
+                     "0.1", "--measure", "shannon"])
+        assert code == EXIT_OK
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert [(r["family"], r["N"], r["error"]) for r in rows] == [
+            ("CertaintySpread", "10", ""),
+            ("CertaintySpread", str(10**17), "BadDelta"),
+            ("UniformSpike", "10", ""),
+            ("UniformSpike", str(10**17), "BadDelta"),
+        ]
 
     def test_empty_grid_exits_2(self):
         code = main(["stability", "--family", "CertaintySpread",
@@ -771,9 +799,11 @@ class TestStabilityFuzz:
     ORDER_VALUE = st.one_of(st.sampled_from(
         ["2", "0.5", "0", "1", "-1", "nan", "inf", "1e300", "1e-300", "1000"]),
         _FLOATS)
+    # A real measure reads e1 only; its e2 must still be finite.
     ORDER = _mostly(st.one_of(
         st.none(), ORDER_VALUE,
-        st.tuples(ORDER_VALUE, ORDER_VALUE).map(",".join)),
+        st.tuples(ORDER_VALUE, ORDER_VALUE).map(",".join),
+        st.sampled_from(["2,nan", "0.5,inf"])),
         ["x", "1,1,1", ""])
 
     @staticmethod
@@ -794,6 +824,10 @@ class TestStabilityFuzz:
            fmt=st.sampled_from(["csv", "json"]),
            basis=st.sampled_from(["idempotent", "unit-k"]),
            seed=st.integers(-3, 2**64))
+    # A real measure reads e1 only; its e2 must still be finite.
+    @example(families=["UniformSpike"], n_grid="10", delta_grid="0.1",
+             measures=["renyi", "shannon"], order="2,nan", fmt="csv",
+             basis="idempotent", seed=0)
     def test_finite_output_or_typed_error(self, families, n_grid, delta_grid,
                                           measures, order, fmt, basis, seed):
         # The "--flag=value" form keeps a value such as "-1" a value.
@@ -821,7 +855,137 @@ class TestStabilityFuzz:
                     [repr(given_order.x1), repr(given_order.x2)]
             if error is None:
                 assert all(map(math.isfinite, values)), values
+                assert all(map(math.isfinite, row_order)), row_order
                 assert math.isfinite(delta)
             else:
                 assert all(map(math.isnan, values)), values
                 assert math.isfinite(delta) or error == "BadDelta"
+
+
+# Cell faults the loaders must reject: JSON null, an integer too large for a
+# float, non-finite and out-of-range numbers, text, and a nested list.
+_CELL_FAULTS = [None, 10**400, math.nan, math.inf, -math.inf, -0.25, 1.5,
+                "x", [0.5]]
+# Whole files of an odd shape.
+_ODD_FILES = [("empty.json", ""), ("object.json", "{}"),
+              ("no-rows.json", '{"rho": []}'), ("empty.json", "[]"),
+              ("header.csv", "p\n"), ("header.csv", "p1,p2\n"),
+              ("nested.json", "[[0.5], [0.5]]"), ("deep.json", "[" * 200),
+              ("rows.json", '{"rho": [[0.5, 0.5, 0.0], [0.5, 0.5, 0.0]]}'),
+              ("text.txt", "hello\n")]
+
+
+def _csv_cell(cell) -> str:
+    return "" if cell is None else str(cell)
+
+
+@st.composite
+def _distribution_file(draw) -> tuple[str, str]:
+    """(file name, text) of a distribution of at most 50 states: real or
+    hyperbolic of each case, as JSON or CSV, mostly valid, else with one
+    faulty cell or of an odd shape."""
+    if draw(st.integers(0, 9)) == 9:
+        return draw(st.sampled_from(_ODD_FILES))
+    n = draw(st.integers(1, 50))
+    # Zero entries in some files only, so that `limits` converges on others.
+    low = draw(st.sampled_from([1e-3, 0.0]))
+
+    def vector() -> list:
+        w = draw(st.lists(st.floats(low, 1.0), min_size=n, max_size=n))
+        total = math.fsum(w)
+        return [x / total for x in w] if total > 0.0 else w
+
+    kind = draw(st.sampled_from(["real", "full", "e1", "e2"]))
+    if kind == "real":
+        rows = vector()
+    else:
+        p1 = [0.0] * n if kind == "e2" else vector()
+        p2 = [0.0] * n if kind == "e1" else vector()
+        rows = [[a, b] for a, b in zip(p1, p2)]
+    if draw(st.integers(0, 3)) == 3:
+        fault = draw(st.sampled_from(_CELL_FAULTS))
+        i = draw(st.integers(0, n - 1))
+        if kind == "real":
+            rows[i] = fault
+        else:
+            rows[i][draw(st.integers(0, 1))] = fault
+    if draw(st.booleans()):
+        if kind == "real":
+            return "dist.json", json.dumps(rows)
+        payload = {"rho": rows}
+        case = draw(st.sampled_from([None, kind, "full", "e1", "e2"]))
+        if case is not None:
+            payload["case"] = case
+        return "dist.json", json.dumps(payload)
+    header = "p" if kind == "real" else "p1,p2"
+    lines = [_csv_cell(r) if kind == "real" else ",".join(map(_csv_cell, r))
+             for r in rows]
+    return "dist.csv", "\n".join([header, *lines]) + "\n"
+
+
+def _numbers(text: str) -> list[float]:
+    """Every token of the output that reads as a float."""
+    values = []
+    for token in text.replace(",", " ").replace('"', " ").split():
+        try:
+            values.append(float(token.strip("[]:")))
+        except ValueError:
+            pass
+    return values
+
+
+class TestFileCommandFuzz:
+    """Random distribution files through `entropy`, `limits` and `verify
+    --input` end in finite output or a typed error: an exit code of the
+    contract, no traceback, and with exit code 0 no NaN or infinity."""
+
+    MEASURES = st.lists(st.sampled_from(_measure_choices("entropy")),
+                        min_size=1, max_size=2)
+    ORDER = st.one_of(st.sampled_from(["2", "0.5,2"]),
+                      TestStabilityFuzz.ORDER)
+
+    @staticmethod
+    def run(argv: list, file: tuple[str, str]) -> tuple[int, str]:
+        name, text = file
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, name)
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv + [f"--input={path}"])
+                except SystemExit as exc:
+                    code = exc.code
+        assert code in {0, 1, 2, 3, 4}
+        assert "Traceback" not in err.getvalue()
+        if code == EXIT_OK:
+            assert all(map(math.isfinite, _numbers(out.getvalue()))), \
+                out.getvalue()
+        return code, out.getvalue()
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(file=_distribution_file(), measures=MEASURES, order=ORDER,
+           fmt=st.sampled_from(["csv", "json"]),
+           basis=st.sampled_from(["idempotent", "unit-k"]))
+    @example(file=("real.json", REAL_FIXTURE), measures=["renyi"],
+             order="2,nan", fmt="csv", basis="idempotent")
+    def test_entropy(self, file, measures, order, fmt, basis):
+        argv = ["entropy", f"--format={fmt}", f"--basis={basis}"]
+        argv += [f"--measure={m}" for m in measures]
+        if order is not None:
+            argv.append(f"--order={order}")
+        self.run(argv, file)
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(file=_distribution_file())
+    def test_limits(self, file):
+        self.run(["limits"], file)
+
+    @settings(derandomize=True, max_examples=10, deadline=None)
+    @given(file=_distribution_file())
+    def test_verify_input(self, file):
+        code, out = self.run(["verify"], file)
+        assert code in {EXIT_OK, EXIT_INVARIANT}
+        assert ("FAIL input-validates" in out) == (code == EXIT_INVARIANT)

@@ -6,6 +6,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -290,6 +291,33 @@ class TestPerturbationFamilies:
                 norm = float(np.abs(pair.base.p - pair.perturbed.p).sum())
                 assert norm <= 0.05 + 1e-12
 
+    def test_families_keep_their_order(self):
+        # verify draws its fixtures family by family, in this order.
+        assert FAMILIES == ("CertaintySpread", "UniformSpike", "RandomSmooth")
+
+    @pytest.mark.parametrize("family", ["CertaintySpread", "UniformSpike"])
+    def test_analytic_deltas_share_one_read_only_base(self, family):
+        a = perturbation_family(family, 50, 0.1)
+        b = perturbation_family(family, 50, 0.3, seed=5)
+        assert a.base is b.base
+        assert not a.base.p.flags.writeable
+        with pytest.raises(ValueError):
+            a.base.p[0] = 0.5
+        assert perturbation_family(family, 60, 0.1).base is not a.base
+
+    def test_no_base_outlives_its_pairs(self):
+        pair = perturbation_family("UniformSpike", 51, 0.1)
+        base = weakref.ref(pair.base)
+        del pair
+        assert base() is None
+        assert perturbation_family("UniformSpike", 51, 0.1).base.n == 51
+
+    def test_random_smooth_bases_are_never_shared(self):
+        a = perturbation_family("RandomSmooth", 50, 0.1, seed=3)
+        b = perturbation_family("RandomSmooth", 50, 0.1, seed=3)
+        assert a.base is not b.base and a.base.p is not b.base.p
+        assert np.array_equal(a.base.p, b.base.p)
+
     def test_bad_parameters(self):
         with pytest.raises(BadDelta):
             perturbation_family("CertaintySpread", 1, 0.1)
@@ -299,6 +327,11 @@ class TestPerturbationFamilies:
             perturbation_family("CertaintySpread", 3, 1.0)
         with pytest.raises(BadDelta):
             perturbation_family("NoSuchFamily", 3, 0.1)
+        # 8e17 bytes lie past any 64-bit address space, so the first
+        # allocation fails whatever the host's overcommit policy.
+        for family in ("CertaintySpread", "UniformSpike"):
+            with pytest.raises(BadDelta, match="cannot allocate"):
+                perturbation_family(family, 10**17, 0.1)
 
 
 def _two_draw_random_smooth(n, delta, seed):

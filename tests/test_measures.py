@@ -44,6 +44,7 @@ from hypentropy import (
 )
 from hypentropy.errors import (
     CaseMismatch,
+    HypentropyError,
     NegativeOrder,
     NonFinite,
     NonPositiveOrder,
@@ -172,6 +173,38 @@ class TestNonFiniteValue:
     def test_large_finite_order_still_evaluates(self):
         got = renyi_hyp(uniform_hyp(2), HyperbolicNumber(1000.0, 2.0))
         assert abs(got.x1 - math.log(2.0)) < 1e-12
+
+
+class TestPublicFunctionsReadEvaluate:
+    """The public measure functions are ``evaluate`` of their name, so
+    their input and order checks are the registry's."""
+
+    @pytest.mark.parametrize("fn", [shannon, extropy, hartley, collision])
+    def test_real_measure_rejects_hyperbolic_input(self, fn):
+        with pytest.raises(HypentropyError, match="expects a real"):
+            fn(uniform_hyp(3))
+
+    @pytest.mark.parametrize("fn", [
+        strong_shannon_hyp, strong_extropy_hyp, hartley_hyp, collision_hyp])
+    def test_hyperbolic_measure_reads_real_input_as_its_embedding(self, fn):
+        assert fn(uniform(3)) == fn(uniform_hyp(3))
+        assert fn(dist(P_MIXED)) == fn(embed(dist(P_MIXED)))
+
+    @pytest.mark.parametrize("fn", [renyi_hyp, renyi_extropy_hyp])
+    def test_hyperbolic_order_on_real_input(self, fn):
+        alpha = HyperbolicNumber(0.5, 2.0)
+        assert fn(dist(P_MIXED), alpha) == fn(embed(dist(P_MIXED)), alpha)
+
+    @pytest.mark.parametrize("name", ["renyi", "renyi_extropy"])
+    @pytest.mark.parametrize("e2", [math.nan, math.inf, -math.inf])
+    def test_real_measure_rejects_a_nonfinite_unused_coordinate(self, name,
+                                                                e2):
+        with pytest.raises(NonFinite, match="e2 coordinate"):
+            evaluate(name, uniform(2), HyperbolicNumber(2.0, e2))
+
+    def test_real_measure_ignores_a_finite_unused_coordinate(self):
+        got = evaluate("renyi", dist(P_MIXED), HyperbolicNumber(2.0, 0.5))
+        assert got == embed_real(renyi(dist(P_MIXED), 2.0))
 
 
 class TestRenyi:

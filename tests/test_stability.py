@@ -296,6 +296,8 @@ class TestSweepSharesTheBase:
     def counts(self, monkeypatch):
         bases, validated, passes = [], [], []
 
+        # A base still alive from an earlier test would not be counted.
+        distributions._BASES.clear()
         for family, (base, perturbed) in distributions._ANALYTIC.items():
             def counted(n, base=base):
                 bases.append(base(n))
@@ -345,6 +347,20 @@ class TestSweepSharesTheBase:
             got = sorted((name, a) for name, a, p in passes if p is b)
             assert got == want
         assert len(passes) == (6 + 18) * len(want)
+
+    def test_random_smooth_bases_are_never_shared(self, counts):
+        _, validated, passes = counts
+        config = SweepConfig(
+            families=("RandomSmooth",),
+            measures=tuple((m, embed_real(2.0) if MEASURES[m].check else None)
+                           for m in SWEEP_MEASURES), **self.GRID)
+        assert all(r.error is None for r in stability_sweep(config))
+        # Each cell's base and perturbed distribution: one pass per kernel.
+        assert len(validated) == 2 * 9
+        for p in validated:
+            got = sorted((name, a) for name, a, q in passes if q is p)
+            assert got == [("_neg_xlogx_sum", ()),
+                           ("_renyi_coordinate", (2.0,))]
 
     def test_random_smooth_draws_one_block_per_cell(self, monkeypatch):
         draws = []
