@@ -39,6 +39,8 @@ __all__ = [
     "hyp_derivative",
     "check_cauchy_riemann",
     "hyp_limit",
+    "limit_points",
+    "fd_points",
     "lhopital_check",
     "concavity_probe",
 ]
@@ -101,12 +103,20 @@ def _as_component(F: Union[ComponentFunction, DifferentiableFunction]
     return F.value if isinstance(F, DifferentiableFunction) else F
 
 
-def _fd_derivative(f: RealFn, x: float) -> float:
-    # Central difference with one Richardson step; fixed (non-adaptive) step
-    # keeps verification output deterministic.
+def fd_points(x: float) -> tuple[float, tuple[float, float, float, float]]:
+    """The step h of a finite-difference derivative at x, and the points
+    x + h, x - h, x + h/2, x - h/2 at which it evaluates the function, in
+    that order."""
+    # A fixed (non-adaptive) step keeps verification output deterministic.
     h = max(FD_STEP, FD_STEP * abs(x))
-    d1 = (f(x + h) - f(x - h)) / (2.0 * h)
-    d2 = (f(x + h / 2.0) - f(x - h / 2.0)) / h
+    return h, (x + h, x - h, x + h / 2.0, x - h / 2.0)
+
+
+def _fd_derivative(f: RealFn, x: float) -> float:
+    # Central difference with one Richardson step.
+    h, (right, left, half_right, half_left) = fd_points(x)
+    d1 = (f(right) - f(left)) / (2.0 * h)
+    d2 = (f(half_right) - f(half_left)) / h
     return (4.0 * d2 - d1) / 3.0
 
 
@@ -169,6 +179,13 @@ def check_cauchy_riemann(
     return CauchyRiemannResult(holds, residuals)
 
 
+def limit_points(xi0: HyperbolicNumber
+                 ) -> list[tuple[HyperbolicNumber, HyperbolicNumber]]:
+    """The points at which ``hyp_limit`` evaluates F, in order: the pair
+    (xi0 + t*(e1+e2), xi0 - t*(e1+e2)) for each t of ``LIMIT_STEPS``."""
+    return [(xi0 + embed_real(t), xi0 - embed_real(t)) for t in LIMIT_STEPS]
+
+
 def hyp_limit(
     F: Union[ComponentFunction, DifferentiableFunction, HypMap],
     xi0: HyperbolicNumber,
@@ -181,9 +198,9 @@ def hyp_limit(
     than ``LIMIT_TOL`` the limit is declared non-convergent.
     """
     means: list[tuple[float, float]] = []
-    for t in LIMIT_STEPS:
-        above = F(xi0 + embed_real(t))
-        below = F(xi0 - embed_real(t))
+    for above_xi, below_xi in limit_points(xi0):
+        above = F(above_xi)
+        below = F(below_xi)
         means.append(((above.x1 + below.x1) / 2.0,
                       (above.x2 + below.x2) / 2.0))
 

@@ -221,6 +221,11 @@ def cmd_stability(args: argparse.Namespace) -> int:
 
 
 def cmd_limits(args: argparse.Namespace) -> int:
+    # A NaN tolerance would pass every check and a negative one fail every
+    # check; 0 is the strictest.
+    if not 0.0 <= args.tol < float("inf"):
+        raise ParseError(
+            f"--tol must be finite and non-negative, got {args.tol!r}")
     D = _load_distribution(args.input)
     B = dist.embed(D) if isinstance(D, dist.RealDistribution) else D
 

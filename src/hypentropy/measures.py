@@ -24,8 +24,8 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .calculus import ComponentFunction, DifferentiableFunction, hyp_derivative, \
-    hyp_limit, lhopital_check
+from .calculus import ComponentFunction, DifferentiableFunction, fd_points, \
+    hyp_derivative, hyp_limit, lhopital_check, limit_points
 from .distributions import Case, HyperbolicDistribution, RealDistribution, embed
 from .errors import (
     CaseMismatch,
@@ -69,6 +69,8 @@ __all__ = [
 
 GENERATING_TOL = 1e-8
 LIMIT_AGREE_TOL = 1e-6
+# Elements per power pass of the generating-function stencil.
+_STENCIL_CHUNK = 1 << 16
 
 
 # --- coordinate kernels --------------------------------------------------------
@@ -322,6 +324,20 @@ def strong_shannon_hyp(B: HyperbolicDistribution) -> HyperbolicNumber:
     return evaluate("strong_shannon_hyp", B)
 
 
+def _generating_sums(p: np.ndarray, points: list[float]) -> dict[float, float]:
+    """sum p**(-t) at each t of points, keyed by t.
+
+    The sums are the row sums of p ** e[rows, None] for the exponents e = -t,
+    at most ``_STENCIL_CHUNK`` elements per power pass; each row sum has the
+    bits of ``(p ** (-t)).sum()``.
+    """
+    e = -np.array(points)
+    rows = max(1, _STENCIL_CHUNK // p.size)
+    sums = np.concatenate([(p ** e[i:i + rows, None]).sum(axis=1)
+                           for i in range(0, e.size, rows)])
+    return dict(zip(points, sums.tolist()))
+
+
 def strong_shannon_via_generating(B: HyperbolicDistribution) -> HyperbolicNumber:
     """Entropy via the hyperbolic generating function sum rho^{-xi}.
 
@@ -331,17 +347,21 @@ def strong_shannon_via_generating(B: HyperbolicDistribution) -> HyperbolicNumber
     _require_full(B, "strong_shannon_via_generating")
     if np.any(B.p1 <= 0.0) or np.any(B.p2 <= 0.0):
         raise ZeroComponent("generating-function route needs positive components")
-    p1, p2 = B.p1, B.p2
-
+    xi0 = embed_real(-1.0)
+    # G is read from its values at every t where the finite differences at
+    # the limit's points evaluate it, taken per coordinate in batched passes.
+    visited = [xi for pair in limit_points(xi0) for xi in pair]
+    points1 = [t for xi in visited for t in fd_points(xi.x1)[1]]
+    points2 = [t for xi in visited for t in fd_points(xi.x2)[1]]
     G = DifferentiableFunction(ComponentFunction(
-        lambda t: float((p1 ** (-t)).sum()),
-        lambda t: float((p2 ** (-t)).sum()),
+        _generating_sums(B.p1, points1).__getitem__,
+        _generating_sums(B.p2, points2).__getitem__,
     ))
 
     def g_prime(xi: HyperbolicNumber) -> HyperbolicNumber:
         return hyp_derivative(G, xi)
 
-    value = hyp_limit(g_prime, embed_real(-1.0))
+    value = hyp_limit(g_prime, xi0)
     closed = strong_shannon_hyp(B)
     if max(abs(value.x1 - closed.x1), abs(value.x2 - closed.x2)) > GENERATING_TOL:
         raise NonConvergent(

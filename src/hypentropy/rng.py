@@ -5,14 +5,14 @@ reproduce bit-identically from a seed, independent of the host library
 version.  Seeding expands a single 64-bit seed through splitmix64, the
 standard companion initializer.
 
-Long draws (``randoms(n)`` with n >= ``_BLOCK_MIN``) give the identical
-stream through jump-ahead lanes.  The state transition is linear over GF(2)
-(Blackman & Vigna, ACM TOMS 2021), so with A the 256 x 256 bit matrix of one
-step, the state k*m steps on is s @ A^(k*m).  The draw is split into lanes
-of m = 2^a steps; lane k starts at s @ A^(k*m), all lanes step together in
-numpy ``uint64``, and the outputs are read lane by lane.  The lane step works
-in place on the (4, lanes) state through a scratch array made once per draw,
-so the step loop allocates nothing.
+Long draws (``randoms(n)`` and ``words(n)`` with n >= ``_BLOCK_MIN``) give
+the identical stream through jump-ahead lanes.  The state transition is
+linear over GF(2) (Blackman & Vigna, ACM TOMS 2021), so with A the 256 x 256
+bit matrix of one step, the state k*m steps on is s @ A^(k*m).  The draw is
+split into lanes of m = 2^a steps; lane k starts at s @ A^(k*m), all lanes
+step together in numpy ``uint64``, and the outputs are read lane by lane.
+The lane step works in place on the (4, lanes) state through a scratch array
+made once per draw, so the step loop allocates nothing.
 """
 
 from __future__ import annotations
@@ -132,8 +132,12 @@ def _jump_matrix(j: int) -> np.ndarray:
     return power
 
 
-def _block_randoms(state: list[int], n: int) -> tuple[np.ndarray, list[int]]:
-    """The next n draws from ``state`` and the state after them, via lanes."""
+def _block_words(state: list[int], n: int) -> tuple[np.ndarray, list[int]]:
+    """The next n outputs from ``state``, via lanes, and the state after them.
+
+    The outputs come as a (lanes, m) ``uint64`` view, lane by lane, of which
+    the first n in row order are the draws.
+    """
     n = operator.index(n)
     # Lanes of m <= sqrt(n - 1) steps: few Python-level steps, each over
     # many lanes.
@@ -160,8 +164,7 @@ def _block_randoms(state: list[int], n: int) -> tuple[np.ndarray, list[int]]:
         advance()
         if step + 1 == last:
             end = [int(w) for w in s[:, -1]]
-    # The output rotl(5 * s1, 7) * 9 >> 11, scaled by 2^-53, in place; the
-    # scaling writes the lanes out one after another.
+    # The output rotl(5 * s1, 7) * 9, in place.
     x = s1_seen
     x *= np.uint64(5)
     high = x >> np.uint64(57)
@@ -169,10 +172,7 @@ def _block_randoms(state: list[int], n: int) -> tuple[np.ndarray, list[int]]:
     x |= high
     del high
     x *= np.uint64(9)
-    x >>= np.uint64(11)
-    out = np.empty((lanes, m))
-    np.multiply(x.T, 1.0 / (1 << 53), out=out)
-    return out.reshape(-1)[:n], end
+    return x.T, end
 
 
 class Xoshiro256StarStar:
@@ -194,6 +194,14 @@ class Xoshiro256StarStar:
         s[3] = _rotl(s[3], 45)
         return result
 
+    def words(self, n: int) -> list[int]:
+        """The next n outputs as Python ints, the same as n calls of
+        ``next_u64``."""
+        if n < _BLOCK_MIN:
+            return [self.next_u64() for _ in range(n)]
+        x, self._s = _block_words(self._s, n)
+        return x.reshape(-1)[:n].tolist()
+
     def random(self) -> float:
         """Uniform double in [0, 1) with 53 random bits."""
         return (self.next_u64() >> 11) * (1.0 / (1 << 53))
@@ -202,8 +210,13 @@ class Xoshiro256StarStar:
         """n uniform doubles, the same as n calls of ``random``."""
         if n < _BLOCK_MIN:
             return np.array([self.random() for _ in range(n)], dtype=float)
-        out, self._s = _block_randoms(self._s, n)
-        return out
+        x, self._s = _block_words(self._s, n)
+        # words >> 11, scaled by 2^-53; the scaling writes the lanes out one
+        # after another.
+        x >>= np.uint64(11)
+        out = np.empty(x.shape)
+        np.multiply(x, 1.0 / (1 << 53), out=out)
+        return out.reshape(-1)[:n]
 
     def uniform(self, lo: float, hi: float) -> float:
         return lo + (hi - lo) * self.random()

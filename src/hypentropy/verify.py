@@ -44,12 +44,61 @@ class InvariantResult:
     detail: str = ""
 
 
-def _rand_hyp(rng: Xoshiro256StarStar, lo: float = -100.0, hi: float = 100.0
-              ) -> HyperbolicNumber:
+# Words per refill of a _BlockReader.  One block draw takes about 1 ms, the
+# time of some 700 scalar draws, so only the invariants whose generator draws
+# 1,200 words or more read through one; at 800 words a reader measured
+# between 0.1 ms faster and 1.1 ms slower per invariant.
+_READ_BLOCK = 4096
+
+
+class _BlockReader:
+    """The draws of ``Xoshiro256StarStar(seed)``, in stream order, read from
+    blocks of ``_READ_BLOCK`` pre-drawn words.
+
+    ``random``, ``uniform`` and ``randint`` are the generator's own mappings,
+    here reading the block; ``randoms(k)`` converts its k words at once.  It
+    is not a subclass: the generator's state runs up to a block ahead of the
+    reader's next draw.
+    """
+
+    def __init__(self, seed: int):
+        self._gen = Xoshiro256StarStar(seed)
+        self._words: list[int] = []
+        self._pos = 0
+
+    def _refill(self) -> None:
+        self._words, self._pos = self._gen.words(_READ_BLOCK), 0
+
+    def next_u64(self) -> int:
+        if self._pos == len(self._words):
+            self._refill()
+        self._pos += 1
+        return self._words[self._pos - 1]
+
+    def randoms(self, k: int) -> np.ndarray:
+        taken: list[int] = []
+        while True:
+            part = self._words[self._pos:self._pos + k - len(taken)]
+            self._pos += len(part)
+            taken += part
+            if len(taken) == k:
+                break
+            self._refill()
+        return (np.array(taken, dtype=np.uint64) >> np.uint64(11)) \
+            * (1.0 / (1 << 53))
+
+    random = Xoshiro256StarStar.random
+    uniform = Xoshiro256StarStar.uniform
+    randint = Xoshiro256StarStar.randint
+
+
+def _rand_hyp(rng: Xoshiro256StarStar | _BlockReader,
+              lo: float = -100.0, hi: float = 100.0) -> HyperbolicNumber:
     return HyperbolicNumber(rng.uniform(lo, hi), rng.uniform(lo, hi))
 
 
-def _rand_full(rng: Xoshiro256StarStar, n: int) -> dist.HyperbolicDistribution:
+def _rand_full(rng: Xoshiro256StarStar | _BlockReader, n: int
+               ) -> dist.HyperbolicDistribution:
     p1 = -np.log(1.0 - rng.randoms(n))
     p2 = -np.log(1.0 - rng.randoms(n))
     return dist.HyperbolicDistribution(p1 / p1.sum(), p2 / p2.sum(),
@@ -57,7 +106,7 @@ def _rand_full(rng: Xoshiro256StarStar, n: int) -> dist.HyperbolicDistribution:
 
 
 def _check_ring_laws(seed: int) -> InvariantResult:
-    rng = Xoshiro256StarStar(seed)
+    rng = _BlockReader(seed)
     for _ in range(200):
         a, b, c = (_rand_hyp(rng) for _ in range(3))
         # Floating-point associativity/distributivity hold to a few ulps of
@@ -84,7 +133,7 @@ def _check_idempotents(seed: int) -> InvariantResult:
 
 
 def _check_partial_order(seed: int) -> InvariantResult:
-    rng = Xoshiro256StarStar(seed)
+    rng = _BlockReader(seed)
     for _ in range(300):
         a, b, c = (_rand_hyp(rng) for _ in range(3))
         if not a.preceq(a):
@@ -101,7 +150,7 @@ def _check_partial_order(seed: int) -> InvariantResult:
 
 
 def _check_triangle(seed: int) -> InvariantResult:
-    rng = Xoshiro256StarStar(seed)
+    rng = _BlockReader(seed)
     slack = 1e-12
     for _ in range(300):
         a, b, c = (_rand_hyp(rng) for _ in range(3))
@@ -227,7 +276,7 @@ def _check_embedding(seed: int) -> InvariantResult:
 
 
 def _check_mix(seed: int) -> InvariantResult:
-    rng = Xoshiro256StarStar(seed)
+    rng = _BlockReader(seed)
     for _ in range(50):
         n = rng.randint(2, 20)
         A = _rand_full(rng, n)
@@ -261,7 +310,7 @@ def _check_perturbation_norms(seed: int) -> InvariantResult:
 
 
 def _check_factorization(seed: int) -> InvariantResult:
-    rng = Xoshiro256StarStar(seed)
+    rng = _BlockReader(seed)
     alphas = [HyperbolicNumber(0.5, 0.5), HyperbolicNumber(2.0, 3.0),
               HyperbolicNumber(0.25, 4.0)]
     for _ in range(50):
@@ -303,7 +352,7 @@ def _check_maxima(seed: int) -> InvariantResult:
 
 
 def _check_renyi_properties(seed: int) -> InvariantResult:
-    rng = Xoshiro256StarStar(seed)
+    rng = _BlockReader(seed)
     for _ in range(50):
         n = rng.randint(2, 30)
         B = _rand_full(rng, n)
@@ -328,7 +377,7 @@ def _two_state_tol(p: np.ndarray, s: float) -> float:
 
 
 def _check_extropy_relations(seed: int) -> InvariantResult:
-    rng = Xoshiro256StarStar(seed)
+    rng = _BlockReader(seed)
     for _ in range(50):
         B2 = _rand_full(rng, 2)
         s = measures.strong_shannon_hyp(B2)
@@ -373,7 +422,7 @@ def _check_renyi_limit(seed: int) -> InvariantResult:
 
 
 def _check_norm_properties(seed: int) -> InvariantResult:
-    rng = Xoshiro256StarStar(seed)
+    rng = _BlockReader(seed)
     for _ in range(50):
         n = rng.randint(2, 30)
         dists = [_rand_full(rng, n).projection1() for _ in range(3)]

@@ -315,6 +315,18 @@ class TestMalformedInput:
         assert captured.err.startswith("error: ParseError: ")
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf", "-0.0001"])
+    def test_bad_tol_exits_2(self, tol, tmp_path, capsys):
+        # A NaN tolerance passed every convergence check (exit 0), a negative
+        # one failed every check (exit 3).
+        path = tmp_path / "two.csv"
+        path.write_text("p\n0.25\n0.75\n")
+        code = main(["limits", "--input", str(path), "--tol", tol])
+        assert code == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ParseError: --tol ")
+
     @pytest.mark.parametrize("grid", ["1e2,1E3", "100.0,1000", "1e2,1.0e3"])
     def test_integral_float_n_grid(self, grid, capsys):
         flags = ["--delta-grid", "0.01", "--order", "2", "--N-grid"]

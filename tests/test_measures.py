@@ -372,6 +372,37 @@ class TestStrongShannonViaGenerating:
             strong_shannon_via_generating(B)
 
 
+def _per_exponent_via_generating(B) -> HyperbolicNumber:
+    """The generating-function route with one power pass per exponent: the
+    limit of the finite-difference derivative of sum rho^{-xi} at -1_D."""
+    p1, p2 = B.p1, B.p2
+    G = calculus.DifferentiableFunction(calculus.ComponentFunction(
+        lambda t: float((p1 ** (-t)).sum()),
+        lambda t: float((p2 ** (-t)).sum()),
+    ))
+    return hyp_limit(lambda xi: calculus.hyp_derivative(G, xi),
+                     embed_real(-1.0))
+
+
+class TestBatchedGeneratingStencil:
+    """The batched power passes give the bits of one pass per exponent."""
+
+    @pytest.mark.parametrize("n", [2, 20, 10_000, 100_000])
+    def test_case_full(self, n, rng):
+        B = random_full(rng, n)
+        got = strong_shannon_via_generating(B)
+        want = _per_exponent_via_generating(B)
+        assert (got.x1, got.x2) == (want.x1, want.x2)
+
+    @pytest.mark.parametrize("n", [2, 20, 10_000, 100_000])
+    def test_embedded(self, n, rng):
+        P = RealDistribution(rng.dirichlet(np.ones(n)))
+        got = strong_shannon_via_generating(embed(P))
+        want = _per_exponent_via_generating(embed(P))
+        assert (got.x1, got.x2) == (want.x1, want.x2)
+        assert shannon_via_generating(P) == want.x1
+
+
 class TestRenyiHyp:
     def test_uniform_any_order(self):
         got = renyi_hyp(uniform_hyp(2), HyperbolicNumber(2.0, 0.5))

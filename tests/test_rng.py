@@ -21,6 +21,7 @@ from hypentropy import (
 )
 from hypentropy.distributions import perturbation_family
 from hypentropy.rng import Xoshiro256StarStar, derive_seed
+from hypentropy.verify import _READ_BLOCK, _BlockReader
 
 MAX_SEED = 2**64 - 1
 
@@ -118,6 +119,49 @@ def test_randoms_match_scalar_oracle(n):
     assert block.randoms(n).tolist() == [scalar.random() for _ in range(n)]
     assert block._s == scalar._s
     assert block.random() == scalar.random()
+
+
+@pytest.mark.parametrize("n", [1, 255, 256, 257, 4096, 200_000])
+def test_words_match_scalar_oracle(n):
+    block = Xoshiro256StarStar(20_251_018)
+    scalar = Xoshiro256StarStar(20_251_018)
+    words = block.words(n)
+    assert all(type(w) is int for w in words)
+    assert words == [scalar.next_u64() for _ in range(n)]
+    assert block._s == scalar._s
+
+
+# verify's fixture reads, as (method, args): 1,021 words per round, and
+# 4,096 = 4 * 1,021 + 12, so the n-th refill comes at word 12 * n of a round:
+# in randint(2, 200), in randoms(13) and in randoms(300).
+READS = [("randint", (1, 30)), ("uniform", (-100.0, 100.0)), ("random", ()),
+         ("randoms", (7,)), ("next_u64", ()), ("uniform", (0.1, 50.0)),
+         ("randint", (2, 200)), ("randoms", (1,)), ("randoms", (13,)),
+         ("random", ()), ("randoms", (300,)), ("randoms", (693,))]
+
+
+def test_block_reader_is_the_generator_draw_for_draw():
+    seed = derive_seed(11, "ring-laws")
+    reader, plain = _BlockReader(seed), Xoshiro256StarStar(seed)
+    used = 0
+    refilled_in = []
+    while used <= 3 * _READ_BLOCK:
+        for method, args in READS:
+            got = getattr(reader, method)(*args)
+            want = getattr(plain, method)(*args)
+            if method == "randoms":
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
+            else:
+                assert type(got) is type(want) and got == want
+            k = args[0] if method == "randoms" else 1
+            # The read refilled when it needed a word past the last block.
+            block_of_last_word = (used + k - 1) // _READ_BLOCK
+            if used and block_of_last_word > (used - 1) // _READ_BLOCK:
+                refilled_in.append(method)
+            used += k
+    assert refilled_in == ["randint", "randoms", "randoms"]
+    assert reader.next_u64() == plain.next_u64()
 
 
 @pytest.mark.parametrize("seed", sorted(RANDOM_SMOOTH))
