@@ -23,7 +23,7 @@ from . import measures
 from .errors import HypentropyError, NonConvergent, ParseError
 from .hyperbolic import HyperbolicNumber, embed_real
 from .stability import StabilityRecord, SweepConfig, stability_sweep
-from .verify import InvariantResult, run_invariants
+from .verify import run_invariants
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -54,31 +54,17 @@ def _parse_order(text: str) -> HyperbolicNumber:
 
 def _load_distribution(path: str
                        ) -> Union[dist.RealDistribution, dist.HyperbolicDistribution]:
-    # Malformed text (undecodable bytes, bad or too deeply nested JSON, a
-    # missing key, a non-numeric cell, an integer too large for a float)
-    # raises plain Python errors; they become one typed ParseError.  OSError
-    # passes through as an I/O failure.
+    # Malformed text (undecodable bytes, no known format, bad or too deeply
+    # nested JSON, a missing key, a non-numeric cell, an integer too large for
+    # a float) raises plain Python errors; they become one typed ParseError.
+    # OSError passes through as an I/O failure.
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        stripped = text.lstrip()
-        if stripped.startswith("{"):
-            return dist.hyp_from_json(text)
-        if stripped.startswith("["):
-            return dist.real_from_json(text)
-        # Only the header line is split off, not the whole text.
-        end = stripped.find("\n")
-        first_line = stripped[:end] if end >= 0 else stripped
-        first_line = first_line.splitlines()[0].strip() if first_line else ""
-        if first_line.replace(" ", "") == "p1,p2":
-            return dist.hyp_from_csv(text)
-        if first_line == "p":
-            return dist.real_from_csv(text)
+            return dist.from_text(fh.read())
     except (ValueError, KeyError, TypeError, IndexError, OverflowError,
             RecursionError) as exc:
         raise ParseError(f"malformed distribution in {path!r}: "
                          f"{type(exc).__name__}: {exc}") from None
-    raise ParseError(f"unrecognized distribution format in {path!r}")
 
 
 def _write_output(text: str, output: Optional[str]) -> None:
@@ -253,13 +239,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.input is not None:
         path = args.input
 
-        def _fixture_check(seed: int) -> InvariantResult:
+        def _fixture_check(seed: int) -> Optional[str]:
             try:
                 _load_distribution(path)
             except HypentropyError as exc:
-                return InvariantResult("input-validates", False,
-                                       f"{type(exc).__name__}: {exc}")
-            return InvariantResult("input-validates", True)
+                return f"{type(exc).__name__}: {exc}"
 
         extra.append(("input-validates", _fixture_check))
     results = run_invariants(args.seed, extra=extra)

@@ -47,6 +47,7 @@ __all__ = [
     "mix",
     "perturbation_family",
     "FAMILIES",
+    "from_text",
 ]
 
 SUM_TOL = 1e-9
@@ -323,6 +324,21 @@ def hyp_to_json(B: HyperbolicDistribution) -> str:
     return json.dumps(payload)
 
 
+def _check_json_cells(cells: np.ndarray, values, noun: str) -> None:
+    """Reject a JSON null, true or false among the cells.
+
+    numpy reads them as NaN, 1 and 0.  Only a cell outside (0, 1) can be
+    one, so the exact per-cell test runs only when such a cell is there.
+    """
+    if ((cells > 0) & (cells < 1)).all():
+        return
+    kinds = set(map(type, values))
+    if type(None) in kinds:
+        raise TypeError(f"a {noun} is null")
+    if bool in kinds:
+        raise TypeError(f"a {noun} is true or false")
+
+
 def hyp_from_json(text: str) -> HyperbolicDistribution:
     """Read ``{"case": ..., "rho": [[x1, x2], ...]}``; "case" is optional, and
     numbers may also be given as strings."""
@@ -331,9 +347,7 @@ def hyp_from_json(text: str) -> HyperbolicDistribution:
     if set(map(len, rho)) - {2}:
         raise ValueError("every row of rho needs exactly two components")
     cells = np.fromiter(itertools.chain.from_iterable(rho), float, 2 * len(rho))
-    # numpy reads a JSON null as NaN; keep it a malformed cell.
-    if np.isnan(cells).any() and None in itertools.chain.from_iterable(rho):
-        raise TypeError("a component is null")
+    _check_json_cells(cells, itertools.chain.from_iterable(rho), "component")
     B = validate(cells.reshape(-1, 2))
     declared = payload.get("case")
     if declared is not None and declared != B.case.value:
@@ -352,6 +366,14 @@ def hyp_to_csv(B: HyperbolicDistribution) -> str:
     return buf.getvalue()
 
 
+def _csv_header(line: str) -> list[str]:
+    """The cells of a CSV header line, each stripped; quotes are allowed."""
+    try:
+        return [h.strip() for h in next(csv.reader([line]))]
+    except csv.Error as exc:  # a field past the csv module's size limit
+        raise ValueError(f"unreadable CSV header: {exc}") from None
+
+
 def _csv_cells(text: str, header: list[str]) -> np.ndarray:
     """The cells under a CSV header line, as an (N, len(header)) array.
 
@@ -360,7 +382,7 @@ def _csv_cells(text: str, header: list[str]) -> np.ndarray:
     other line (a comment, a short row, a non-numeric cell) is a ValueError.
     """
     lines = text.split("\n")
-    if [h.strip() for h in next(csv.reader(lines[:1]))] != header:
+    if _csv_header(lines[0]) != header:
         raise SumInvalid(f"CSV input requires a {','.join(header)!r} header")
     del lines[0]
     with warnings.catch_warnings():
@@ -385,9 +407,7 @@ def real_from_json(text: str) -> RealDistribution:
     if p.ndim != 1:
         raise ValueError("expected a flat array of probabilities, "
                          f"got an array of shape {p.shape}")
-    # numpy reads a JSON null as NaN; keep it a malformed cell.
-    if np.isnan(p).any() and None in values:
-        raise TypeError("a probability is null")
+    _check_json_cells(p, values, "probability")
     return RealDistribution(p)
 
 
@@ -403,3 +423,25 @@ def real_to_csv(P: RealDistribution) -> str:
 def real_from_csv(text: str) -> RealDistribution:
     """Read a ``p`` header line, then one probability per line."""
     return RealDistribution(_csv_cells(text, ["p"])[:, 0])
+
+
+def from_text(text: str) -> RealDistribution | HyperbolicDistribution:
+    """Read a distribution in whichever of the four formats ``text`` is in.
+
+    A JSON object is hyperbolic and a JSON array real; CSV text is
+    hyperbolic under a ``p1,p2`` header and real under a ``p`` header.
+    Anything else is a ValueError, as malformed text is in each loader.
+    """
+    stripped = text.lstrip()
+    if stripped.startswith("{"):
+        return hyp_from_json(text)
+    if stripped.startswith("["):
+        return real_from_json(text)
+    end = text.find("\n")
+    header = _csv_header(text if end < 0 else text[:end])
+    if header == ["p1", "p2"]:
+        return hyp_from_csv(text)
+    if header == ["p"]:
+        return real_from_csv(text)
+    raise ValueError("unrecognized distribution format: expected a JSON "
+                     "object or array, or a 'p1,p2' or 'p' CSV header")

@@ -68,9 +68,6 @@ class HyperbolicNumber:
 
     # -- predicates -----------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return self.x1 == 0.0 and self.x2 == 0.0
-
     def is_zero_divisor(self) -> bool:
         """True iff the value lies in G: exactly one coordinate is zero."""
         return (self.x1 == 0.0) != (self.x2 == 0.0)

@@ -35,6 +35,7 @@ from hypentropy.cli import (
     records_from_csv,
     records_to_csv,
 )
+from hypentropy.hyperbolic import E1
 from hypentropy.rng import derive_seed
 
 from conftest import CountingArray
@@ -342,8 +343,14 @@ class TestMalformedInput:
         ("deep.json", "[" * 100_000),
         ("null.json", "[null, 1.0]"),
         ("nested.json", "[[0.5], [0.5]]"),
+        ("bool.json", "[true, false]"),
+        ("bool-cells.json", '{"rho": [[true, true], [0.0, 0.0]]}'),
+        ("spaced-header.csv", "p 1,p2\n0.5,0.25\n0.5,0.75\n"),
+        ("long-line.txt", "x" * 200_000),
     ], ids=["truncated-json", "json-without-rho", "non-numeric-csv-cell",
-            "deeply-nested-json", "null-in-real-json", "nested-real-json"])
+            "deeply-nested-json", "null-in-real-json", "nested-real-json",
+            "bool-in-real-json", "bool-in-hyperbolic-json",
+            "space-inside-header-name", "line-past-csv-field-limit"])
     def test_bad_file_exits_2(self, name, text, tmp_path, capsys):
         path = tmp_path / name
         path.write_text(text)
@@ -419,8 +426,9 @@ class TestMalformedCaseFullInput:
         ("crlf-blank-line.csv", b"p1,p2\r\n0.5,0.25\r\n\r\n0.5,0.75\r\n"),
         ("string-numbers.json", b'{"rho": [["0.5", "0.25"], ["0.5", "0.75"]]}'),
         ("three-column-row.csv", b"p1,p2\n0.5,0.25,extra\n0.5,0.75\n"),
+        ("quoted-header.csv", b'"p1","p2"\n"0.5","0.25"\n"0.5","0.75"\n'),
     ], ids=["quoted-cells", "crlf-blank-line", "string-numbers",
-            "three-column-row"])
+            "three-column-row", "quoted-header"])
     def test_accepted(self, name, data, hyp_path, tmp_path, capsys):
         argv = ["entropy", "--measure", "strong_shannon_hyp", "--input"]
         assert main(argv + [hyp_path]) == EXIT_OK
@@ -505,11 +513,40 @@ class TestVerifyCommand:
     def test_extropy_error_still_fails_invariant(self, monkeypatch, seed):
         check = dict(verify.INVARIANTS)["extropy-relations"]
         sub_seed = derive_seed(seed, "extropy-relations")
-        assert check(sub_seed).passed
+        assert check(sub_seed) is None
         exact = measures.strong_extropy_hyp
         monkeypatch.setattr(measures, "strong_extropy_hyp",
                             lambda B: exact(B) * embed_real(1.0 + 1e-10))
-        assert not check(sub_seed).passed
+        assert check(sub_seed) is not None
+
+    def test_one_result_per_check_in_table_order(self):
+        extra = [("extra-holds", lambda seed: None),
+                 ("extra-fails", lambda seed: "why")]
+        results = verify.run_invariants(3, extra=extra)
+        assert [r.name for r in results] == \
+            [name for name, _ in verify.INVARIANTS] + ["extra-holds", "extra-fails"]
+        assert [(r.passed, r.detail) for r in results[-2:]] == \
+            [(True, ""), (False, "why")]
+
+    def test_check_answers_become_report_lines(self, monkeypatch, capsys):
+        def raises(seed):
+            raise ZeroDivisionError("boom")
+
+        seeds = []
+        monkeypatch.setattr(verify, "INVARIANTS", [
+            ("holds", seeds.append), ("detailed", lambda seed: "n=3"),
+            ("bare", lambda seed: ""), ("raises", raises)])
+        assert main(["verify", "--seed", "7"]) == EXIT_INVARIANT
+        assert capsys.readouterr().out == (
+            "PASS holds\nFAIL detailed: n=3\nFAIL bare\n"
+            "FAIL raises: ZeroDivisionError: boom\nFAILED (1/4 invariants)\n")
+        assert seeds == [derive_seed(7, "holds")]
+
+    def test_idempotents_failure_is_a_bare_line(self, monkeypatch):
+        check = dict(verify.INVARIANTS)["idempotents-exact"]
+        assert check(0) is None
+        monkeypatch.setattr(verify, "K", E1)
+        assert check(0) == ""
 
     def test_good_fixture_validates(self, hyp_path, capsys):
         code = main(["verify", "--input", hyp_path])

@@ -1,12 +1,14 @@
 """Module boundaries inside the package: no module imports another
 module's private name, so each decision stays behind the module that owns
 it (the family table behind ``distributions``, the kernels behind
-``measures``)."""
+``measures``); and no function, class or method of the package goes unnamed
+by the code, tests, demos and benchmark around it."""
 
 from __future__ import annotations
 
 import ast
 import pathlib
+import re
 
 import pytest
 
@@ -39,3 +41,49 @@ def test_the_check_sees_a_private_import(tmp_path):
         "module.py:1: from .distributions import _ANALYTIC",
         "module.py:2: from . import _private",
     ]
+
+
+ROOT = SRC.parent.parent
+SEARCHED = ("src", "tests", "demos", "perfbench")
+
+
+def _unnamed_definitions(src: pathlib.Path, roots) -> list[str]:
+    """Functions, classes and methods defined under ``src`` whose name, as a
+    whole word, appears in no ``.py`` file under ``roots`` outside their own
+    definition.  Dunders are exempt."""
+    files = sorted({p for root in roots for p in pathlib.Path(root).rglob("*.py")})
+    # name -> every (file, line) where the name occurs as a whole word
+    seen: dict[str, list[tuple[pathlib.Path, int]]] = {}
+    for path in files:
+        for lineno, line in enumerate(path.read_text().splitlines(), 1):
+            for word in set(re.findall(r"\w+", line)):
+                seen.setdefault(word, []).append((path, lineno))
+    found = []
+    for path in sorted(src.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef)):
+                continue
+            if node.name.startswith("__") and node.name.endswith("__"):
+                continue
+            if all(where == path and node.lineno <= line <= node.end_lineno
+                   for where, line in seen.get(node.name, [])):
+                found.append(f"{path.name}:{node.lineno}: {node.name}")
+    return found
+
+
+def test_every_definition_is_named_somewhere():
+    assert _unnamed_definitions(SRC, [ROOT / d for d in SEARCHED]) == []
+
+
+def test_the_check_sees_an_unnamed_definition(tmp_path):
+    (tmp_path / "module.py").write_text(
+        "class Used:\n"
+        "    def __repr__(self):\n"
+        "        return 'x'\n"
+        "    def dead(self):\n"
+        "        return self.dead()\n"
+        "def deadline():\n"
+        "    return Used()\n")
+    (tmp_path / "user.py").write_text("deadline()\n")
+    assert _unnamed_definitions(tmp_path, [tmp_path]) == ["module.py:4: dead"]
