@@ -367,10 +367,10 @@ def hyp_to_csv(B: HyperbolicDistribution) -> str:
 
 
 def _csv_header(line: str) -> list[str]:
-    """The cells of a CSV header line, each stripped; quotes are allowed."""
+    """The cells of a CSV header line, each stripped; quotes must close."""
     try:
-        return [h.strip() for h in next(csv.reader([line]))]
-    except csv.Error as exc:  # a field past the csv module's size limit
+        return [h.strip() for h in next(csv.reader([line], strict=True))]
+    except csv.Error as exc:  # an unclosed quote, or a field past the size limit
         raise ValueError(f"unreadable CSV header: {exc}") from None
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 
 from .errors import DivisionByZeroDivisor, DomainError, NonFinite, ParseError
 
@@ -48,12 +48,45 @@ class Ordering(enum.Enum):
     INCOMPARABLE = "incomparable"
 
 
-@dataclass(frozen=True)
 class HyperbolicNumber:
-    """Element of the hyperbolic plane in idempotent coordinates (x1, x2)."""
+    """Element of the hyperbolic plane in idempotent coordinates (x1, x2).
+
+    An immutable value: equal and hashed as the tuple (x1, x2), with the
+    partial order of ``preceq``/``prec``/``partial_cmp`` and no ``<``.  The
+    coordinates live in slots and are stored as given, with no coercion.
+    """
+
+    __slots__ = ("x1", "x2")
+    __match_args__ = ("x1", "x2")
 
     x1: float
     x2: float
+
+    def __init__(self, x1: float, x2: float) -> None:
+        _set_x1(self, x1)
+        _set_x2(self, x2)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__: restoring slot state
+        # would go through the frozen __setattr__.
+        return self.__class__, (self.x1, self.x2)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.x1, self.x2) == (other.x1, other.x2)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.x1, self.x2))
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__qualname__}(x1={self.x1!r}, x2={self.x2!r})"
 
     # -- constructors / views ------------------------------------------------
 
@@ -109,9 +142,6 @@ class HyperbolicNumber:
     def prec(self, other: "HyperbolicNumber") -> bool:
         return self.x1 < other.x1 and self.x2 < other.x2
 
-    def succeq(self, other: "HyperbolicNumber") -> bool:
-        return other.preceq(self)
-
     # -- rendering --------------------------------------------------------------
 
     def __str__(self) -> str:
@@ -122,6 +152,9 @@ class HyperbolicNumber:
         sign = "+" if b >= 0 or math.isnan(b) else "-"
         return f"{a:.17g}{sign}{abs(b):.17g}k"
 
+
+_set_x1 = HyperbolicNumber.x1.__set__
+_set_x2 = HyperbolicNumber.x2.__set__
 
 ZERO = HyperbolicNumber(0.0, 0.0)
 ONE = HyperbolicNumber(1.0, 1.0)
@@ -251,22 +284,30 @@ _IDEMPOTENT_RE = re.compile(
 
 
 def parse_hyperbolic(text: str) -> HyperbolicNumber:
-    """Parse either "a+bk" or "x1*e1+x2*e2" (and their spacing variants)."""
+    """Parse either "a+bk" or "x1*e1+x2*e2" (and their spacing variants).
+
+    A coordinate that is not finite, as written or after the {1, k} sum
+    overflows, is a ParseError.
+    """
     m = _IDEMPOTENT_RE.match(text)
     if m:
         x1 = float(m.group(1))
         x2 = float(m.group(3))
         if m.group(2) == "-":
             x2 = -x2
-        return HyperbolicNumber(x1, x2)
-    m = _UNIT_K_RE.match(text)
-    if m:
+        xi = HyperbolicNumber(x1, x2)
+    elif m := _UNIT_K_RE.match(text):
         a = float(m.group(1))
         b = float(m.group(3))
         if m.group(2) == "-":
             b = -b
-        return HyperbolicNumber.from_unit_k(a, b)
-    try:
-        return embed_real(float(text))
-    except (ValueError, NonFinite):
-        raise ParseError(f"cannot parse hyperbolic number from {text!r}") from None
+        xi = HyperbolicNumber.from_unit_k(a, b)
+    else:
+        try:
+            return embed_real(float(text))
+        except (ValueError, NonFinite):
+            raise ParseError(
+                f"cannot parse hyperbolic number from {text!r}") from None
+    if not (math.isfinite(xi.x1) and math.isfinite(xi.x2)):
+        raise ParseError(f"non-finite coordinate in hyperbolic number {text!r}")
+    return xi

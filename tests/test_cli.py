@@ -345,11 +345,15 @@ class TestMalformedInput:
         ("nested.json", "[[0.5], [0.5]]"),
         ("bool.json", "[true, false]"),
         ("bool-cells.json", '{"rho": [[true, true], [0.0, 0.0]]}'),
+        ("open-quote-header.csv", '"p\n1\n'),
+        ("open-quote-hyperbolic-header.csv", '"p1,p2\n0.5,0.5\n0.5,0.5\n'),
         ("spaced-header.csv", "p 1,p2\n0.5,0.25\n0.5,0.75\n"),
         ("long-line.txt", "x" * 200_000),
     ], ids=["truncated-json", "json-without-rho", "non-numeric-csv-cell",
             "deeply-nested-json", "null-in-real-json", "nested-real-json",
             "bool-in-real-json", "bool-in-hyperbolic-json",
+            "unterminated-quote-in-header",
+            "unterminated-quote-in-hyperbolic-header",
             "space-inside-header-name", "line-past-csv-field-limit"])
     def test_bad_file_exits_2(self, name, text, tmp_path, capsys):
         path = tmp_path / name

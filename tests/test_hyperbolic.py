@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import copy
 import math
+import pickle
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given
@@ -290,3 +293,83 @@ class TestParsingAndRendering:
         back = parse_hyperbolic(xi.str_unit_k())
         scale = max(abs(xi.x1), abs(xi.x2), 1.0)
         assert approx_eq(back, xi, tol=8 * math.ulp(scale))
+
+    @pytest.mark.parametrize("text", [
+        "1e400*e1+1*e2", "2*e1+1e400*e2", "1e308+1e308k",
+    ])
+    def test_parse_non_finite_coordinate_rejected(self, text):
+        # The last one is finite as written; its {1, k} sum overflows.
+        with pytest.raises(ParseError):
+            parse_hyperbolic(text)
+
+
+class TestValueSemantics:
+    """A HyperbolicNumber is an immutable value compared as (x1, x2)."""
+
+    def test_assignment_and_deletion_raise(self):
+        xi = HyperbolicNumber(1.0, 2.0)
+        with pytest.raises(FrozenInstanceError):
+            xi.x1 = 3.0
+        with pytest.raises(FrozenInstanceError):
+            del xi.x2
+        assert xi == HyperbolicNumber(1.0, 2.0)
+
+    def test_equality_agrees_with_hash(self):
+        nan = float("nan")
+        pairs = [
+            (HyperbolicNumber(-0.0, 0.0), HyperbolicNumber(0.0, -0.0)),
+            (HyperbolicNumber(nan, 1.0), HyperbolicNumber(nan, 1.0)),
+            (HyperbolicNumber(1, 2), HyperbolicNumber(1.0, 2.0)),
+        ]
+        for a, b in pairs:
+            assert a == b
+            assert hash(a) == hash(b)
+        assert len({a for a, _ in pairs} | {b for _, b in pairs}) == 3
+        assert HyperbolicNumber(float("nan"), 1.0) != HyperbolicNumber(
+            float("nan"), 1.0)
+
+    def test_not_equal_to_a_tuple(self):
+        xi = HyperbolicNumber(1.0, 2.0)
+        assert xi != (1.0, 2.0)
+        assert (1.0, 2.0) != xi
+        assert xi.__eq__((1.0, 2.0)) is NotImplemented
+
+    def test_no_total_order_and_no_iteration(self):
+        with pytest.raises(TypeError):
+            HyperbolicNumber(1.0, 2.0) < HyperbolicNumber(3.0, 4.0)
+        with pytest.raises(TypeError):
+            tuple(HyperbolicNumber(1.0, 2.0))
+
+    @pytest.mark.parametrize("x1, x2, text", [
+        (0.0, -0.0, "HyperbolicNumber(x1=0.0, x2=-0.0)"),
+        (-0.0, 0.0, "HyperbolicNumber(x1=-0.0, x2=0.0)"),
+        (float("nan"), float("inf"), "HyperbolicNumber(x1=nan, x2=inf)"),
+        (float("-inf"), 1e-300, "HyperbolicNumber(x1=-inf, x2=1e-300)"),
+        (1, -2, "HyperbolicNumber(x1=1, x2=-2)"),
+    ])
+    def test_repr_bytes(self, x1, x2, text):
+        # The int row also shows that arguments are stored uncoerced.
+        assert repr(HyperbolicNumber(x1, x2)) == text
+
+    @pytest.mark.parametrize("trip", [
+        lambda xi: pickle.loads(pickle.dumps(xi)),
+        copy.copy,
+        copy.deepcopy,
+    ], ids=["pickle", "copy", "deepcopy"])
+    def test_round_trips(self, trip):
+        for xi in (HyperbolicNumber(1.5, -0.0), HyperbolicNumber(1, 2), K):
+            back = trip(xi)
+            assert type(back) is HyperbolicNumber
+            assert repr(back) == repr(xi)
+
+    def test_keyword_construction_and_match(self):
+        xi = HyperbolicNumber(x2=2.0, x1=1.0)
+        assert xi == HyperbolicNumber(1.0, 2.0)
+        match xi:
+            case HyperbolicNumber(a, b):
+                assert (a, b) == (1.0, 2.0)
+            case _:
+                pytest.fail("positional pattern did not match")
+
+    def test_no_instance_dict(self):
+        assert not hasattr(HyperbolicNumber(1.0, 2.0), "__dict__")
