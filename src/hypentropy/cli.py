@@ -81,13 +81,19 @@ def _value_columns(value: HyperbolicNumber, basis: str) -> tuple[float, float]:
     return value.x1, value.x2
 
 
+def _selection(args: argparse.Namespace
+               ) -> list[tuple[str, Optional[HyperbolicNumber]]]:
+    """(measure, order) per ``--measure``: ``--order`` is parsed once, and
+    only a measure that takes an order gets it."""
+    order = _parse_order(args.order) if args.order is not None else None
+    return [(name, order if measures.MEASURES[name].check else None)
+            for name in args.measure]
+
+
 def cmd_entropy(args: argparse.Namespace) -> int:
     D = _load_distribution(args.input)
     rows = []
-    for name in args.measure:
-        order = None
-        if measures.MEASURES[name].check and args.order is not None:
-            order = _parse_order(args.order)
+    for name, order in _selection(args):
         v1, v2 = _value_columns(measures.evaluate(name, D, order), args.basis)
         o1, o2 = ("", "")
         if order is not None:
@@ -185,16 +191,12 @@ def _parse_grid(text: str, kind, what: str) -> list:
 
 
 def cmd_stability(args: argparse.Namespace) -> int:
-    order = _parse_order(args.order) if args.order is not None else None
-    measure_selection = [
-        (name, order if measures.MEASURES[name].check else None)
-        for name in args.measure
-    ]
+    selection = _selection(args)
     config = SweepConfig(
         families=args.family,
         n_grid=_parse_grid(args.n_grid, _integral, "integer"),
         delta_grid=_parse_grid(args.delta_grid, float, "float"),
-        measures=measure_selection,
+        measures=selection,
         seed=args.seed,
     )
     records = stability_sweep(config)

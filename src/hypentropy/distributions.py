@@ -366,12 +366,13 @@ def hyp_to_csv(B: HyperbolicDistribution) -> str:
     return buf.getvalue()
 
 
-def _csv_header(line: str) -> list[str]:
-    """The cells of a CSV header line, each stripped; quotes must close."""
+def _csv_line(line: str) -> list[str]:
+    """The cells of one CSV line, each stripped; quotes must close on the
+    line, and only a comma may follow a closing quote."""
     try:
         return [h.strip() for h in next(csv.reader([line], strict=True))]
     except csv.Error as exc:  # an unclosed quote, or a field past the size limit
-        raise ValueError(f"unreadable CSV header: {exc}") from None
+        raise ValueError(f"unreadable CSV line: {exc}") from None
 
 
 def _csv_cells(text: str, header: list[str]) -> np.ndarray:
@@ -380,11 +381,18 @@ def _csv_cells(text: str, header: list[str]) -> np.ndarray:
     Cells are comma-separated numbers, optionally in double quotes; cells
     past the header's columns are ignored, empty lines are skipped, and any
     other line (a comment, a short row, a non-numeric cell) is a ValueError.
+    A line that holds a quote is read as ``_csv_line`` reads the header
+    too, since ``np.loadtxt`` would read an unclosed quote on to the end of
+    the text.
     """
     lines = text.split("\n")
-    if _csv_header(lines[0]) != header:
+    head = lines.pop(0)
+    if _csv_line(head) != header:
         raise SumInvalid(f"CSV input requires a {','.join(header)!r} header")
-    del lines[0]
+    if text.find('"', len(head)) >= 0:
+        for line in lines:
+            if '"' in line:
+                _csv_line(line)
     with warnings.catch_warnings():
         # No data lines give an empty array; the caller rejects it.
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
@@ -438,7 +446,7 @@ def from_text(text: str) -> RealDistribution | HyperbolicDistribution:
     if stripped.startswith("["):
         return real_from_json(text)
     end = text.find("\n")
-    header = _csv_header(text if end < 0 else text[:end])
+    header = _csv_line(text if end < 0 else text[:end])
     if header == ["p1", "p2"]:
         return hyp_from_csv(text)
     if header == ["p"]:

@@ -9,9 +9,10 @@ Natural logarithms throughout.
 ``MEASURES`` is the one map from a measure name to its computation: a real
 measure is its 1-D coordinate kernel on ``P.p`` at order q, and its
 hyperbolic lift is ``HyperbolicNumber(kernel(p1, a1), kernel(p2, a2))``.
-The public functions, the CLI and the Lesche sweep all read it.
-The kernels read a zero-free array in place and copy out the positive
-entries only when the array has a zero (or a negative or NaN entry).
+The public functions, the CLI and the Lesche sweep all read it, through
+``Measure.of``, the one place where a kernel runs.  The kernels read a
+zero-free array in place and copy out the positive entries only when the
+array has a zero (or a negative or NaN entry).
 """
 
 from __future__ import annotations
@@ -178,22 +179,31 @@ class Measure:
     any_case: bool = False
     route: Optional[Callable] = None
 
-    def order_args(self, name: str, order: Optional[HyperbolicNumber]
-                   ) -> tuple[tuple, tuple]:
-        """Kernel order arguments per coordinate, after the domain check; a
-        real measure takes q = order.x1 in both, and its unused e2
-        coordinate must be finite."""
+    def of(self, name: str, p1: np.ndarray, p2: np.ndarray,
+           order: Optional[HyperbolicNumber], memo: dict) -> HyperbolicNumber:
+        """The measure at coordinate arrays (p1, p2), after the order check
+        (a real measure takes q = order.x1 in both coordinates, and its e2
+        coordinate must be finite).  Each kernel value is read from ``memo``
+        by (kernel, order coordinate, id(array)), or computed into it; a key
+        holds an ``id``, so ``memo`` must not outlive its arrays."""
         if self.check is None:
-            return (), ()
-        if order is None:
+            a1 = a2 = ()
+        elif order is None:
             raise HypentropyError(f"measure {name!r} needs an order")
-        if self.hyperbolic:
+        elif self.hyperbolic:
             self.check(order)
-            return (order.x1,), (order.x2,)
-        self.check(order.x1)
-        if not math.isfinite(order.x2):
-            raise NonFinite(f"order {order} has a non-finite e2 coordinate")
-        return (order.x1,), (order.x1,)
+            a1, a2 = (order.x1,), (order.x2,)
+        else:
+            self.check(order.x1)
+            if not math.isfinite(order.x2):
+                raise NonFinite(f"order {order} has a non-finite e2 coordinate")
+            a1 = a2 = (order.x1,)
+        k1, k2 = (self.kernel, *a1, id(p1)), (self.kernel, *a2, id(p2))
+        if k1 not in memo:
+            memo[k1] = self.kernel(p1, *a1)
+        if k2 not in memo:
+            memo[k2] = self.kernel(p2, *a2)
+        return self.value(memo[k1], memo[k2])
 
     def value(self, v1: float, v2: float) -> HyperbolicNumber:
         """Coordinate values as a hyperbolic number, or a real value v1 as
@@ -240,9 +250,7 @@ def evaluate(
         return m.route(embed(D)) if m.hyperbolic else embed_real(m.route(D))
     else:
         p1 = p2 = D.p
-    a1, a2 = m.order_args(name, order)
-    v1 = m.kernel(p1, *a1)
-    return m.value(v1, v1 if p2 is p1 and a2 == a1 else m.kernel(p2, *a2))
+    return m.of(name, p1, p2, order, {})
 
 
 # --- real measures -----------------------------------------------------------
@@ -381,16 +389,18 @@ def renyi_hyp(B: HyperbolicDistribution, alpha: HyperbolicNumber) -> HyperbolicN
     return evaluate("renyi_hyp", B, alpha)
 
 
+# Renyi at every positive order, order 1 included; not in MEASURES or the CLI.
+_RENYI_MIXED = Measure(_renyi_coordinate, _check_positive_finite,
+                       hyperbolic=True)
+
+
 def renyi_hyp_mixed(
     B: HyperbolicDistribution, alpha: HyperbolicNumber
 ) -> HyperbolicNumber:
     """Per-coordinate dispatch extension: a coordinate of order exactly 1 is
     evaluated as Shannon entropy.  Convenience beyond the strict definition."""
     _require_full(B, "renyi_hyp_mixed")
-    _check_positive_finite(alpha)
-    return MEASURES["renyi_hyp"].value(
-        _renyi_coordinate(B.p1, alpha.x1), _renyi_coordinate(B.p2, alpha.x2)
-    )
+    return _RENYI_MIXED.of("renyi_hyp_mixed", B.p1, B.p2, alpha, {})
 
 
 def _power_sums(p: np.ndarray) -> Callable[[float], tuple]:

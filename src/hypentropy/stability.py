@@ -82,40 +82,30 @@ def _evaluate_pair(
 ) -> list[Union[StabilityRecord, HypentropyError]]:
     """Stability records of several measures on one pair, in selection order.
 
-    The pair is evaluated once, on ``pair.base`` and ``pair.perturbed``
-    directly: one L1 norm, and each coordinate kernel at each order at most
-    once per distribution.  An embedded pair has equal coordinates, so a
-    hyperbolic measure shares its kernel values with the real measure.  Any
-    closed-form measure of ``MEASURES`` can be swept; a measure that fails
-    yields its error in place of a record.
+    The pair is evaluated once: one L1 norm, and each side through
+    ``Measure.of`` with its array in both coordinates, so each kernel runs
+    at each order at most once per distribution and a hyperbolic measure
+    shares its kernel values with the real measure.  Any closed-form measure
+    of ``MEASURES`` can be swept; a measure that fails yields its error in
+    place of a record.
 
-    ``base_memo`` holds the base's kernel values by (kernel, order).  A
-    caller passes a fresh one, or, for pairs that share one base object,
-    the same one, so that the base is evaluated once for all of them.
+    ``base_memo`` is the base side's ``of`` memo: a fresh one, or, for pairs
+    that share one base object, the same one while it holds that object.
     """
     if pair.n < 2:
         raise DegenerateN("stability ratio needs at least two states")
     norm = embed_real(lesche_norm(pair.base, pair.perturbed))
     log_n = math.log(pair.n)
+    p_base, p_pert = pair.base.p, pair.perturbed.p
     pert_memo: dict[tuple, float] = {}
-
-    def kernel(fn, *order: float) -> tuple[float, float]:
-        key = (fn, *order)
-        if key not in base_memo:
-            base_memo[key] = fn(pair.base.p, *order)
-        if key not in pert_memo:
-            pert_memo[key] = fn(pair.perturbed.p, *order)
-        return base_memo[key], pert_memo[key]
-
     results: list[Union[StabilityRecord, HypentropyError]] = []
     for measure, order in selection:
         try:
             m = MEASURES.get(measure)
             if m is None or m.kernel is None:
                 raise HypentropyError(f"no closed-form measure {measure!r}")
-            a1, a2 = m.order_args(measure, order)
-            (b1, q1), (b2, q2) = kernel(m.kernel, *a1), kernel(m.kernel, *a2)
-            base, pert = m.value(b1, b2), m.value(q1, q2)
+            base = m.of(measure, p_base, p_base, order, base_memo)
+            pert = m.of(measure, p_pert, p_pert, order, pert_memo)
         except HypentropyError as exc:
             results.append(exc)
             continue

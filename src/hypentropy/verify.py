@@ -394,11 +394,12 @@ def _check_shannon_stability(seed: int) -> Optional[str]:
                 rec = stability.stability_ratio(measure, pair)
                 if max(rec.ratio.x1, rec.ratio.x2) >= 0.01:
                     return f"{measure}/{family} n={n}: ratio {rec.ratio}"
+                if measure == "shannon":
+                    ratio = rec.ratio.x1
             if family == "CertaintySpread":
-                rec = stability.stability_ratio("shannon", pair)
-                if prev is not None and rec.ratio.x1 > prev + 1e-15:
+                if prev is not None and ratio > prev + 1e-15:
                     return f"ratio not non-increasing at n={n}"
-                prev = rec.ratio.x1
+                prev = ratio
 
 
 def _check_renyi_instability(seed: int) -> Optional[str]:

@@ -349,12 +349,18 @@ class TestMalformedInput:
         ("open-quote-hyperbolic-header.csv", '"p1,p2\n0.5,0.5\n0.5,0.5\n'),
         ("spaced-header.csv", "p 1,p2\n0.5,0.25\n0.5,0.75\n"),
         ("long-line.txt", "x" * 200_000),
+        ("open-quote-cell.csv", 'p\n0.5\n"0.5\n'),
+        ("open-quote-ignored-column.csv", 'p\n0.5\n0.5,"x\n'),
+        ("open-quote-hyperbolic-cell.csv", 'p1,p2\n0.5,0.5\n0.5,"0.5\n'),
     ], ids=["truncated-json", "json-without-rho", "non-numeric-csv-cell",
             "deeply-nested-json", "null-in-real-json", "nested-real-json",
             "bool-in-real-json", "bool-in-hyperbolic-json",
             "unterminated-quote-in-header",
             "unterminated-quote-in-hyperbolic-header",
-            "space-inside-header-name", "line-past-csv-field-limit"])
+            "space-inside-header-name", "line-past-csv-field-limit",
+            "unterminated-quote-in-cell",
+            "unterminated-quote-in-ignored-column",
+            "unterminated-quote-in-hyperbolic-cell"])
     def test_bad_file_exits_2(self, name, text, tmp_path, capsys):
         path = tmp_path / name
         path.write_text(text)
@@ -363,6 +369,20 @@ class TestMalformedInput:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ParseError: ")
+
+    def test_bad_order_exits_2_on_entropy(self, tmp_path, capsys):
+        # --order is parsed even when no selected measure takes an order.
+        path = tmp_path / "two.csv"
+        path.write_text("p\n0.5\n0.5\n")
+        assert main(["entropy", "--input", str(path), "--measure", "shannon",
+                     "--order", "x"]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ParseError: order ")
+
+    def test_io_error_precedes_a_bad_order(self, tmp_path):
+        assert main(["entropy", "--input", str(tmp_path / "missing.csv"),
+                     "--measure", "renyi", "--order", "x"]) == EXIT_IO
 
     def test_nested_real_json_names_its_shape(self, tmp_path, capsys):
         path = tmp_path / "nested.json"

@@ -1,8 +1,9 @@
 """Module boundaries inside the package: no module imports another
 module's private name, so each decision stays behind the module that owns
 it (the family table behind ``distributions``, the kernels behind
-``measures``); and no function, class or method of the package goes unnamed
-by the code, tests, demos and benchmark around it."""
+``measures``); only ``Measure.of`` calls a registry kernel; and no function,
+class or method of the package goes unnamed by the code, tests, demos and
+benchmark around it."""
 
 from __future__ import annotations
 
@@ -40,6 +41,48 @@ def test_the_check_sees_a_private_import(tmp_path):
     assert _private_imports(path) == [
         "module.py:1: from .distributions import _ANALYTIC",
         "module.py:2: from . import _private",
+    ]
+
+
+def _kernel_calls(path: pathlib.Path) -> list[str]:
+    """Calls of a registry kernel (``x.kernel(...)``, or a callee named
+    ``kernel``) in one source file, outside ``Measure.of``."""
+    tree = ast.parse(path.read_text(), str(path))
+    inside_of = {id(node)
+                 for cls in tree.body
+                 if isinstance(cls, ast.ClassDef) and cls.name == "Measure"
+                 for fn in cls.body
+                 if isinstance(fn, ast.FunctionDef) and fn.name == "of"
+                 for node in ast.walk(fn)}
+    calls = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and id(node) not in inside_of
+             and (getattr(node.func, "attr", None) == "kernel"
+                  or getattr(node.func, "id", None) == "kernel")]
+    return [f"{path.name}:{node.lineno}: {ast.unparse(node.func)}(...)"
+            for node in sorted(calls, key=lambda node: node.lineno)]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_only_measure_of_calls_a_kernel(path):
+    assert _kernel_calls(path) == []
+
+
+def test_the_check_sees_a_kernel_call(tmp_path):
+    path = tmp_path / "module.py"
+    path.write_text("class Measure:\n"
+                    "    def of(self, p):\n"
+                    "        return self.kernel(p)\n"
+                    "    def twice(self, p):\n"
+                    "        return self.kernel(p)\n"
+                    "def evaluate(m, p):\n"
+                    "    if m.kernel is None:\n"
+                    "        return kernel(p)\n"
+                    "    return MEASURES['shannon'].kernel(p)\n")
+    assert _kernel_calls(path) == [
+        "module.py:5: self.kernel(...)",
+        "module.py:8: kernel(...)",
+        "module.py:9: MEASURES['shannon'].kernel(...)",
     ]
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -14,6 +15,8 @@ from hypothesis import strategies as st
 from hypentropy import (
     ONE,
     ZERO,
+    Case,
+    HyperbolicDistribution,
     HyperbolicNumber,
     RealDistribution,
     approx_eq,
@@ -205,6 +208,60 @@ class TestPublicFunctionsReadEvaluate:
     def test_real_measure_ignores_a_finite_unused_coordinate(self):
         got = evaluate("renyi", dist(P_MIXED), HyperbolicNumber(2.0, 0.5))
         assert got == embed_real(renyi(dist(P_MIXED), 2.0))
+
+
+class TestMeasureOfSharesByArray:
+    """``Measure.of`` runs a kernel once per (kernel, order coordinate,
+    array): two coordinates that are one array at one order share a pass,
+    and distinct arrays take one each, with the same bits."""
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        passes = []
+
+        def counted_kernel(fn):
+            def kernel(p, *order):
+                passes.append((fn.__name__, order))
+                return fn(p, *order)
+            return kernel
+        kernels = {m.kernel: counted_kernel(m.kernel)
+                   for m in MEASURES.values() if m.kernel is not None}
+        monkeypatch.setattr(measures, "MEASURES", {
+            name: dataclasses.replace(m, kernel=kernels.get(m.kernel))
+            for name, m in MEASURES.items()})
+        return passes
+
+    CASES = [("strong_shannon_hyp", None, [("_neg_xlogx_sum", ())]),
+             ("renyi_hyp", embed_real(2.0), [("_renyi_coordinate", (2.0,))]),
+             ("renyi", embed_real(2.0), [("_renyi_coordinate", (2.0,))]),
+             ("renyi_hyp", HyperbolicNumber(0.5, 2.0),
+              [("_renyi_coordinate", (0.5,)), ("_renyi_coordinate", (2.0,))])]
+    IDS = ["strong-shannon-hyp", "renyi-hyp-2", "renyi-2", "renyi-hyp-0.5-2"]
+
+    @pytest.mark.parametrize("name, order, want", CASES, ids=IDS)
+    def test_real_input_takes_one_pass_per_order(self, passes, name, order,
+                                                 want):
+        evaluate(name, dist(P_MIXED), order)
+        assert passes == want
+
+    @pytest.mark.parametrize("name, order, want", CASES[:2] + CASES[3:],
+                             ids=IDS[:2] + IDS[3:])
+    def test_one_array_in_both_coordinates(self, passes, name, order, want):
+        p = P_MIXED.copy()
+        one = evaluate(name, HyperbolicDistribution(p, p, Case.FULL), order)
+        assert passes == want
+        del passes[:]
+        two = evaluate(name, HyperbolicDistribution(p, p.copy(), Case.FULL),
+                       order)
+        assert len(passes) == 2
+        assert one == two
+
+    def test_a_shared_memo_shares_passes_across_calls(self, passes):
+        m, p, memo = measures.MEASURES["renyi_hyp"], P_MIXED.copy(), {}
+        first = m.of("renyi_hyp", p, p, HyperbolicNumber(0.5, 2.0), memo)
+        assert m.of("renyi_hyp", p, p, embed_real(2.0), memo) == \
+            HyperbolicNumber(first.x2, first.x2)
+        assert len(passes) == 2
 
 
 class TestRenyi:
