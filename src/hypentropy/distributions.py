@@ -47,6 +47,7 @@ __all__ = [
     "mix",
     "perturbation_family",
     "FAMILIES",
+    "SEEDED_FAMILIES",
     "from_text",
 ]
 
@@ -244,12 +245,14 @@ def _uniform_spike(n: int, delta: float) -> np.ndarray:
 
 
 # The families whose base depends on n alone: family -> (base(n),
-# perturbed(n, delta)).  RandomSmooth draws both from the cell seed.
+# perturbed(n, delta)).  They read no seed.
 _ANALYTIC = {
     "CertaintySpread": (_certainty_spread_base, _certainty_spread),
     "UniformSpike": (_uniform_base, _uniform_spike),
 }
-FAMILIES = (*_ANALYTIC, "RandomSmooth")
+# The families that draw their pair from the seed.
+SEEDED_FAMILIES = ("RandomSmooth",)
+FAMILIES = (*_ANALYTIC, *SEEDED_FAMILIES)
 
 
 # The analytic bases alive, by (family, n), held weakly: the pairs alive at

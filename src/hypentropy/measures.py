@@ -12,7 +12,8 @@ hyperbolic lift is ``HyperbolicNumber(kernel(p1, a1), kernel(p2, a2))``.
 The public functions, the CLI and the Lesche sweep all read it, through
 ``Measure.of``, the one place where a kernel runs.  The kernels read a
 zero-free array in place and copy out the positive entries only when the
-array has a zero (or a negative or NaN entry).
+array has a zero (or a negative or NaN entry), and take each sum through
+``pairwise_sum``, so a term array is never longer than ``_LEAF`` elements.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from .hyperbolic import ONE, HyperbolicNumber, embed_real
 __all__ = [
     "Measure",
     "MEASURES",
+    "pairwise_sum",
     "evaluate",
     "shannon",
     "extropy",
@@ -72,9 +74,44 @@ GENERATING_TOL = 1e-8
 LIMIT_AGREE_TOL = 1e-6
 # Elements per power pass of the generating-function stencil.
 _STENCIL_CHUNK = 1 << 16
+# Elements per leaf of ``pairwise_sum``: 256 KiB of float64, which fits in L2.
+_LEAF = 1 << 15
 
 
 # --- coordinate kernels --------------------------------------------------------
+
+def pairwise_sum(term: Callable[..., np.ndarray], *arrays: np.ndarray
+                 ) -> np.floating:
+    """``term(*arrays).sum()``, bit for bit, with no term array longer than
+    ``_LEAF`` elements.
+
+    ``term`` maps equal-length 1-D arrays elementwise to a new float array.
+    numpy sums such an array along a fixed pairwise tree: a run of n > 128
+    elements is split at h = n // 2, rounded down to a multiple of 8, and
+    the sums of its two halves are added.  This follows those splits down to
+    runs of at most ``_LEAF`` elements, sums ``term`` of each run with numpy
+    and adds the halves in numpy's order, so no term array of the whole
+    length is built.  Input of at most one leaf is one ``.sum()``.
+
+    A term should allocate one array per leaf: with a second one, glibc
+    can trim the freed 512 KiB off its heap top after every leaf, and each
+    leaf then faults its pages in again.
+    """
+    n = arrays[0].size
+    if n <= _LEAF:
+        return term(*arrays).sum()
+    h = n // 2
+    h -= h % 8
+    return (pairwise_sum(term, *(a[:h] for a in arrays))
+            + pairwise_sum(term, *(a[h:] for a in arrays)))
+
+
+def _xlogx(x: np.ndarray) -> np.ndarray:
+    """x * log(x), in place on the one log array."""
+    t = np.log(x)
+    t *= x
+    return t
+
 
 def _positive(p: np.ndarray) -> np.ndarray:
     """The positive entries of p, in order: p itself, uncopied, when its
@@ -84,12 +121,13 @@ def _positive(p: np.ndarray) -> np.ndarray:
 
 def _neg_xlogx_sum(p: np.ndarray) -> float:
     """-sum p*log(p) with 0*log(0) := 0."""
-    x = _positive(p)
-    return float(-(x * np.log(x)).sum())
+    return float(-pairwise_sum(_xlogx, _positive(p)))
 
 
 def _extropy_coordinate(p: np.ndarray) -> float:
-    """-sum (1-p)*log(1-p) with 0*log(0) := 0."""
+    """-sum (1-p)*log(1-p) with 0*log(0) := 0.  The one kernel that builds
+    an N-element array on zero-free input: 1 - p (7.6 MiB at N = 1e6),
+    whose zeros ``_positive`` must find before the sum."""
     return _neg_xlogx_sum(1.0 - p)
 
 
@@ -111,7 +149,7 @@ def _renyi_coordinate(p: np.ndarray, a: float) -> float:
         return _hartley_coordinate(p)
     if a == 1.0:
         return _neg_xlogx_sum(p)
-    return _log_total((_positive(p) ** a).sum()) / (1.0 - a)
+    return _log_total(pairwise_sum(lambda x: x ** a, _positive(p))) / (1.0 - a)
 
 
 def _collision_coordinate(p: np.ndarray) -> float:
@@ -125,7 +163,13 @@ def _renyi_extropy_coordinate(p: np.ndarray, a: float) -> float:
     if n == 1:
         warnings.warn("Renyi extropy of a single state is 0 by convention")
         return 0.0
-    comp = _log_total(((1.0 - p) ** a).sum())
+
+    def term(x: np.ndarray) -> np.ndarray:
+        c = 1.0 - x
+        c **= a  # in place: the bits of (1.0 - x) ** a
+        return c
+
+    comp = _log_total(pairwise_sum(term, p))
     return ((n - 1.0) * (comp - math.log(n - 1.0))) / (1.0 - a)
 
 

@@ -17,6 +17,7 @@ import numpy as np
 
 from .distributions import (
     FAMILIES,
+    SEEDED_FAMILIES,
     HyperbolicDistribution,
     PerturbationPair,
     RealDistribution,
@@ -24,7 +25,7 @@ from .distributions import (
 )
 from .errors import CaseMismatch, DegenerateN, HypentropyError, LengthMismatch
 from .hyperbolic import HyperbolicNumber, embed_real
-from .measures import MEASURES
+from .measures import MEASURES, pairwise_sum
 from .rng import derive_seed
 
 __all__ = [
@@ -37,10 +38,15 @@ __all__ = [
 ]
 
 
-def _l1(a: np.ndarray, b: np.ndarray) -> float:
-    """sum |a - b|, taking abs in place on the one difference array."""
+def _abs_diff(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """|a - b|, taking abs in place on the one difference array."""
     diff = a - b
-    return float(np.abs(diff, out=diff).sum())
+    return np.abs(diff, out=diff)
+
+
+def _l1(a: np.ndarray, b: np.ndarray) -> float:
+    """sum |a - b|, with the bits of one numpy sum of ``_abs_diff(a, b)``."""
+    return float(pairwise_sum(_abs_diff, a, b))
 
 
 def lesche_norm(P: RealDistribution, Q: RealDistribution) -> float:
@@ -167,10 +173,11 @@ def stability_sweep(config: SweepConfig) -> list[StabilityRecord]:
     """Evaluate every (family, measure, N, delta) cell deterministically.
 
     Each cell is ``perturbation_family(family, n, delta, seed=derive_seed(
-    config.seed, family, n, delta))``.  An analytic family's base depends on
-    n alone, and ``perturbation_family`` returns one base object for all
-    deltas of that n while the sweep holds it, so it is evaluated once for
-    all of them.  Per-cell
+    config.seed, family, n, delta))``; the seed is derived only for a family
+    of ``SEEDED_FAMILIES``, as no other family reads it.  An analytic
+    family's base depends on n alone, and ``perturbation_family`` returns
+    one base object for all deltas of that n while the sweep holds it, so it
+    is evaluated once for all of them.  Per-cell
     errors become error rows (machine-readable code in ``error``) instead of
     aborting the sweep.  Output is sorted by (family, measure, N, delta).
     """
@@ -179,9 +186,9 @@ def stability_sweep(config: SweepConfig) -> list[StabilityRecord]:
     for family, n, delta in itertools.product(
             config.families, config.n_grid, config.delta_grid):
         try:
-            pair = perturbation_family(
-                family, n, delta,
-                seed=derive_seed(config.seed, family, n, delta))
+            seed = (derive_seed(config.seed, family, n, delta)
+                    if family in SEEDED_FAMILIES else 0)
+            pair = perturbation_family(family, n, delta, seed=seed)
             if pair.base is not base:
                 base, base_memo = pair.base, {}
             results = _evaluate_pair(pair, config.measures, base_memo)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -542,6 +543,32 @@ class TestVerifyCommand:
         monkeypatch.setattr(measures, "strong_extropy_hyp",
                             lambda B: exact(B) * embed_real(1.0 + 1e-10))
         assert check(sub_seed) is not None
+
+    @pytest.mark.parametrize("which", ["real", "lift", "both"])
+    @pytest.mark.parametrize("kernel", [
+        "_neg_xlogx_sum", "_collision_coordinate", "_extropy_coordinate",
+        "_renyi_coordinate", "_renyi_extropy_coordinate"])
+    def test_kernel_off_by_1e_6_fails_factorization(self, monkeypatch, kernel,
+                                                    which):
+        # A wrong kernel is wrong in a real measure and in its lift alike.
+        # The invariant's right-hand side is computed apart from the
+        # registry, so it fails when both are wrong, and when either is.
+        exact = getattr(measures, kernel)
+
+        def wrong(p, *a):
+            return exact(p, *a) * (1.0 + 1e-6)
+
+        entries = {entry.hyperbolic: (name, entry)
+                   for name, entry in measures.MEASURES.items()
+                   if entry.kernel is exact}
+        assert len(entries) == 2
+        for hyperbolic in {"real": [False], "lift": [True],
+                           "both": [False, True]}[which]:
+            name, entry = entries[hyperbolic]
+            monkeypatch.setitem(measures.MEASURES, name,
+                                dataclasses.replace(entry, kernel=wrong))
+        failed = {r.name for r in verify.run_invariants(0) if not r.passed}
+        assert "measure-factorization" in failed
 
     def test_one_result_per_check_in_table_order(self):
         extra = [("extra-holds", lambda seed: None),

@@ -766,3 +766,112 @@ class TestKernelsReadInPlace:
         finally:
             tracemalloc.stop()
         assert peak <= 1.25 * 8 * n
+
+
+# --- pairwise summation --------------------------------------------------------
+
+LEAF = measures._LEAF
+PAIRWISE_NS = (1, 7, 8, LEAF - 1, LEAF, LEAF + 1, LEAF + 7, 2 * LEAF + 9,
+               100_000, 1_000_000)
+# name -> (number of arrays, term)
+PAIRWISE_TERMS = {
+    "scaled": (1, lambda x: x * 1.0),
+    "abs-diff": (2, lambda a, b: np.abs(a - b)),
+    "xlogx": (1, lambda x: x * np.log(x)),
+    "power-0.5": (1, lambda x: x ** 0.5),
+    "power-2": (1, lambda x: x ** 2.0),
+    "power-3.7": (1, lambda x: x ** 3.7),
+    "complement-power-2.5": (1, lambda x: (1.0 - x) ** 2.5),
+}
+SPECIALS = {"none": (), "zeros": (0.0, -0.0),
+            "nonfinite": (0.0, -0.0, math.nan, math.inf, -math.inf)}
+
+
+def _signed_magnitudes(seed: int, n: int, view: str, specials: str
+                       ) -> np.ndarray:
+    """n floats of both signs with magnitudes 1e-300 to 1e300, a tenth of
+    them replaced by the values of ``SPECIALS[specials]``, as a contiguous,
+    reversed or every-third-element view."""
+    rng = np.random.default_rng(seed)
+    step = 3 if view == "strided" else 1
+    x = rng.choice([-1.0, 1.0], n * step) \
+        * 10.0 ** rng.uniform(-300.0, 300.0, n * step)
+    if SPECIALS[specials]:
+        where = np.flatnonzero(rng.random(x.size) < 0.1)
+        x[where] = rng.choice(SPECIALS[specials], where.size)
+    return {"contiguous": x, "reversed": x[::-1], "strided": x[::3]}[view]
+
+
+def _bits(v) -> bytes:
+    """The bits of a float, with every NaN as one: which NaN operand an
+    addition of two NaNs returns is up to the compiler, not numpy's tree."""
+    return np.float64(math.nan if math.isnan(v) else v).tobytes()
+
+
+class TestPairwiseSum:
+    """``pairwise_sum`` has the bits of one numpy ``.sum()`` of the whole
+    term array; if numpy changes how it sums, this fails by name."""
+
+    @pytest.mark.parametrize("n", PAIRWISE_NS)
+    @settings(derandomize=True, max_examples=12, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           term=st.sampled_from(sorted(PAIRWISE_TERMS)),
+           view=st.sampled_from(["contiguous", "reversed", "strided"]),
+           specials=st.sampled_from(sorted(SPECIALS)))
+    def test_bits_of_one_sum(self, n, seed, term, view, specials):
+        k, f = PAIRWISE_TERMS[term]
+        arrays = [_signed_magnitudes(seed + i, n, view, specials)
+                  for i in range(k)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert _bits(measures.pairwise_sum(f, *arrays)) \
+                == _bits(f(*arrays).sum())
+
+    @pytest.fixture(scope="class")
+    def million(self) -> dict:
+        rng = np.random.default_rng(19)
+        p = rng.dirichlet(np.ones(1_000_000))
+        with_zeros = p.copy()
+        with_zeros[rng.integers(0, p.size, 1000)] = 0.0
+        return {"zero-free": p, "with-zeros": with_zeros}
+
+    @pytest.mark.parametrize("kernel, q, old", [
+        (measures._neg_xlogx_sum, (),
+         lambda x: float(-(x * np.log(x)).sum())),
+        (measures._renyi_coordinate, (0.5,),
+         lambda x: float(np.log((x ** 0.5).sum())) / (1.0 - 0.5)),
+        (measures._renyi_coordinate, (3.7,),
+         lambda x: float(np.log((x ** 3.7).sum())) / (1.0 - 3.7)),
+        (measures._collision_coordinate, (),
+         lambda x: float(np.log((x ** 2.0).sum())) / (1.0 - 2.0)),
+    ], ids=["neg-xlogx-sum", "renyi-0.5", "renyi-3.7", "collision"])
+    @pytest.mark.parametrize("label", ["zero-free", "with-zeros"])
+    def test_kernel_keeps_its_one_line_formula(self, million, label, kernel,
+                                               q, old):
+        p = million[label]
+        assert kernel(p, *q) == old(p[p > 0.0])
+
+    @pytest.mark.parametrize("a", [0.5, 2.0, 3.7])
+    def test_renyi_extropy_keeps_its_one_line_formula(self, million, a):
+        p = million["with-zeros"]
+        n = p.size
+        old = ((n - 1.0) * (float(np.log(((1.0 - p) ** a).sum()))
+                            - math.log(n - 1.0))) / (1.0 - a)
+        assert measures._renyi_extropy_coordinate(p, a) == old
+
+    @pytest.mark.parametrize("kernel, q", [
+        (measures._neg_xlogx_sum, ()),
+        (measures._renyi_coordinate, (0.5,)),
+        (measures._renyi_coordinate, (2.0,)),
+        (measures._renyi_extropy_coordinate, (2.0,)),
+    ], ids=["shannon", "renyi-0.5", "renyi-2", "renyi-extropy-2"])
+    def test_no_n_element_temporary(self, million, kernel, q):
+        # A whole term array would take 7.63 MiB; a leaf takes 0.25 MiB.
+        p = million["zero-free"]
+        tracemalloc.start()
+        try:
+            kernel(p, *q)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20

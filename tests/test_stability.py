@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -70,6 +71,32 @@ class TestLescheNorm:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             lesche_norm(dist([0.5, 0.5]), dist([1.0]))
+
+
+class TestLescheNormAtAMillion:
+    """At N = 1e6 the norm is summed leaf by leaf, with the bits of one
+    numpy sum and no N-element temporary."""
+
+    @pytest.fixture(scope="class")
+    def pair(self) -> tuple:
+        rng = np.random.default_rng(23)
+        return (rng.dirichlet(np.ones(1_000_000)),
+                rng.dirichlet(np.ones(1_000_000)))
+
+    def test_keeps_its_one_line_formula(self, pair):
+        a, b = pair
+        for x, y in ((a, b), (a[::-1], b), (a[::2], b[1::2])):
+            assert stability._l1(x, y) == float(np.abs(x - y).sum())
+
+    def test_no_n_element_temporary(self, pair):
+        # The difference array would take 7.63 MiB; a leaf takes 0.25 MiB.
+        tracemalloc.start()
+        try:
+            stability._l1(*pair)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestLescheNormHyp:
@@ -253,6 +280,23 @@ class TestSweep:
     def test_unknown_family_rejected(self):
         with pytest.raises(HypentropyError):
             self.make_config(families=("NoSuchFamily",))
+
+    @pytest.mark.parametrize("families, calls", [
+        (("CertaintySpread", "UniformSpike"), 0),
+        (FAMILIES, 2 * 2),
+    ], ids=["analytic", "all"])
+    def test_seed_derived_only_for_a_seeded_family(self, monkeypatch,
+                                                   families, calls):
+        seen = []
+
+        def counted(*args):
+            seen.append(args)
+            return derive_seed(*args)
+
+        monkeypatch.setattr(stability, "derive_seed", counted)
+        stability_sweep(self.make_config(families=families, seed=5))
+        assert len(seen) == calls
+        assert all(args[1] == "RandomSmooth" for args in seen)
 
 
 SWEEP_MEASURES = ("shannon", "renyi", "strong_shannon_hyp", "renyi_hyp")
