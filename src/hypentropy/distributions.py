@@ -33,6 +33,7 @@ from .errors import (
 )
 from .hyperbolic import HyperbolicNumber
 from .rng import Xoshiro256StarStar
+from .runs import Runs
 
 __all__ = [
     "SUM_TOL",
@@ -75,12 +76,14 @@ def _check_components(p: np.ndarray, noun: str) -> None:
 
 @dataclass(frozen=True)
 class RealDistribution:
-    """Finite probability vector; entries in [0, 1] summing to 1."""
+    """Finite probability vector; entries in [0, 1] summing to 1.  ``p`` is
+    a float array, or a ``Runs`` as ``perturbation_family`` gives it."""
 
     p: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "p", np.asarray(self.p, dtype=float))
+        if not isinstance(self.p, Runs):
+            object.__setattr__(self, "p", np.asarray(self.p, dtype=float))
         if self.p.ndim != 1 or self.p.size < 1:
             raise SumInvalid("a distribution needs at least one entry")
         _check_components(self.p, "probability")
@@ -222,30 +225,26 @@ class PerturbationPair:
     n: int
 
 
-def _certainty_spread_base(n: int) -> np.ndarray:
-    p = np.zeros(n)
-    p[0] = 1.0
-    return p
+def _certainty_spread_base(n: int) -> Runs:
+    return Runs((1.0, 0.0), (1, n - 1))
 
 
-def _certainty_spread(n: int, delta: float) -> np.ndarray:
-    q = np.full(n, delta / (2.0 * (n - 1)))
-    q[0] = 1.0 - delta / 2.0
-    return q
+def _certainty_spread(n: int, delta: float) -> Runs:
+    return Runs((1.0 - delta / 2.0, delta / (2.0 * (n - 1))), (1, n - 1))
 
 
-def _uniform_base(n: int) -> np.ndarray:
-    return np.full(n, 1.0 / n)
+def _uniform_base(n: int) -> Runs:
+    return Runs((1.0 / n, 1.0 / n), (1, n - 1))
 
 
-def _uniform_spike(n: int, delta: float) -> np.ndarray:
-    q = np.full(n, (1.0 - delta / 2.0) / n)
-    q[0] += delta / 2.0
-    return q
+def _uniform_spike(n: int, delta: float) -> Runs:
+    low = (1.0 - delta / 2.0) / n
+    return Runs((low + delta / 2.0, low), (1, n - 1))
 
 
 # The families whose base depends on n alone: family -> (base(n),
-# perturbed(n, delta)).  They read no seed.
+# perturbed(n, delta)), each as the runs of state 0 and of the other n - 1
+# states.  They read no seed.
 _ANALYTIC = {
     "CertaintySpread": (_certainty_spread_base, _certainty_spread),
     "UniformSpike": (_uniform_base, _uniform_spike),
@@ -255,8 +254,8 @@ SEEDED_FAMILIES = ("RandomSmooth",)
 FAMILIES = (*_ANALYTIC, *SEEDED_FAMILIES)
 
 
-# The analytic bases alive, by (family, n), held weakly: the pairs alive at
-# once share one base, and it is freed with the last of them.
+# The analytic bases alive, by (family, n, runs), held weakly: the pairs
+# alive at once share one base, and it is freed with the last of them.
 _BASES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
@@ -284,7 +283,7 @@ def _random_smooth(
 
 
 def perturbation_family(
-    family: str, n: int, delta: float, seed: int = 0
+    family: str, n: int, delta: float, seed: int = 0, runs: bool = False
 ) -> PerturbationPair:
     """Generate one adversarial (base, perturbed) pair.
 
@@ -293,6 +292,11 @@ def perturbation_family(
     delta * (1 - 1/n)); RandomSmooth perturbs a seeded random base along a
     zero-sum direction with L1 distance exactly delta.  The pairs of one
     analytic family and n that are alive at once share one read-only base.
+
+    With ``runs``, an analytic family's distributions hold ``Runs`` rather
+    than arrays, which the measure kernels and the L1 norm evaluate with
+    the same bits in O(log N); RandomSmooth stays dense.  An N whose
+    family cannot be built (no float or array can hold it) is ``BadDelta``.
     """
     if n < 2:
         raise BadDelta("perturbation families need at least two states")
@@ -301,18 +305,22 @@ def perturbation_family(
     try:
         if family in _ANALYTIC:
             base, perturbed = _ANALYTIC[family]
-            P = _BASES.get((family, n))
+            P = _BASES.get((family, n, runs))
             if P is None:
                 p = base(n)
-                p.flags.writeable = False
-                P = _BASES[family, n] = RealDistribution(p)
+                if not runs:
+                    p = p.dense()
+                    p.flags.writeable = False
+                P = _BASES[family, n, runs] = RealDistribution(p)
             q = perturbed(n, delta)
+            if not runs:
+                q = q.dense()
         elif family == "RandomSmooth":
             p, q = _random_smooth(n, delta, Xoshiro256StarStar(seed))
             P = RealDistribution(p)
         else:
             raise BadDelta(f"unknown family {family!r}")
-    except MemoryError:
+    except (MemoryError, ValueError, OverflowError):
         raise BadDelta(f"cannot allocate a family of {n} states") from None
     return PerturbationPair(P, RealDistribution(q), family, delta, n)
 

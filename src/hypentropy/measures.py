@@ -14,6 +14,8 @@ The public functions, the CLI and the Lesche sweep all read it, through
 zero-free array in place and copy out the positive entries only when the
 array has a zero (or a negative or NaN entry), and take each sum through
 ``pairwise_sum``, so a term array is never longer than ``_LEAF`` elements.
+A kernel takes a ``runs.Runs`` as it takes an array: it is evaluated on the
+run values, with the bits of the dense array.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from .errors import (
     ZeroProbability,
 )
 from .hyperbolic import ONE, HyperbolicNumber, embed_real
+from .runs import Runs, run_sum
 
 __all__ = [
     "Measure",
@@ -96,7 +99,15 @@ def pairwise_sum(term: Callable[..., np.ndarray], *arrays: np.ndarray
     A term should allocate one array per leaf: with a second one, glibc
     can trim the freed 512 KiB off its heap top after every leaf, and each
     leaf then faults its pages in again.
+
+    ``Runs`` inputs, all with the same counts, take ``term`` once on their
+    values, and ``run_sum`` sums the result with the same bits.
     """
+    if isinstance(arrays[0], Runs):
+        counts = arrays[0].counts
+        if any(a.counts != counts for a in arrays):
+            raise ValueError("runs with different counts")
+        return run_sum(term(*(a.values for a in arrays)), counts)
     n = arrays[0].size
     if n <= _LEAF:
         return term(*arrays).sum()

@@ -275,7 +275,9 @@ class TestStabilityCommand:
 
     def test_unallocatable_n_is_an_error_row(self, capsys):
         # RandomSmooth is left out: it sets up its draw lanes before the
-        # allocation that fails.
+        # allocation that fails.  The analytic families are swept on their
+        # runs, so N = 1e17, which no array can hold, is computed; the dense
+        # family still fails as BadDelta (see test_distributions).
         code = main(["stability", "--family", "CertaintySpread", "--family",
                      "UniformSpike", "--N-grid", "10,1e17", "--delta-grid",
                      "0.1", "--measure", "shannon"])
@@ -283,9 +285,34 @@ class TestStabilityCommand:
         rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
         assert [(r["family"], r["N"], r["error"]) for r in rows] == [
             ("CertaintySpread", "10", ""),
-            ("CertaintySpread", str(10**17), "BadDelta"),
+            ("CertaintySpread", str(10**17), ""),
             ("UniformSpike", "10", ""),
-            ("UniformSpike", str(10**17), "BadDelta"),
+            ("UniformSpike", str(10**17), ""),
+        ]
+        for row in rows[1::2]:
+            _assert_shannon_closed_form(row, 10**17, 0.1)
+
+    def test_n_past_any_array_is_computed_on_runs(self, capsys):
+        # No array can hold 1e20 states; the sweep's runs need none.
+        code = main(["stability", "--family", "UniformSpike", "--N-grid",
+                     "1e20", "--delta-grid", "0.1", "--measure", "shannon"])
+        assert code == EXIT_OK
+        (row,) = csv.DictReader(io.StringIO(capsys.readouterr().out))
+        assert (row["N"], row["error"]) == (str(10**20), "")
+        _assert_shannon_closed_form(row, 10**20, 0.1)
+
+    def test_n_past_the_float_range_is_an_error_row(self, capsys):
+        n = "1" + "0" * 400
+        code = main(["stability", "--family", "CertaintySpread", "--family",
+                     "UniformSpike", "--N-grid", f"10,{n}", "--delta-grid",
+                     "0.1", "--measure", "shannon"])
+        assert code == EXIT_OK
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert [(r["family"], r["N"], r["error"]) for r in rows] == [
+            ("CertaintySpread", "10", ""),
+            ("CertaintySpread", n, "BadDelta"),
+            ("UniformSpike", "10", ""),
+            ("UniformSpike", n, "BadDelta"),
         ]
 
     def test_empty_grid_exits_2(self):
@@ -293,6 +320,25 @@ class TestStabilityCommand:
                      "--N-grid", "", "--delta-grid", "0.01",
                      "--measure", "shannon"])
         assert code == EXIT_VALIDATION
+
+
+def _assert_shannon_closed_form(row: dict, n: int, delta: float) -> None:
+    """A Shannon sweep row of an analytic family at (n, delta) against the
+    family's L1 distance and entropy gap, in closed form."""
+    if row["family"] == "CertaintySpread":
+        top, rest = 1.0 - delta / 2.0, delta / (2.0 * (n - 1))
+        norm = delta
+        gap = -(top * math.log(top) + (n - 1) * rest * math.log(rest))
+    else:
+        low = (1.0 - delta / 2.0) / n
+        high = low + delta / 2.0
+        norm = delta * (1.0 - 1.0 / n)
+        gap = math.log(n) + ((n - 1) * low * math.log(low)
+                             + high * math.log(high))
+    for col in ("norm_e1", "norm_e2"):
+        assert float(row[col]) == pytest.approx(norm, rel=1e-12)
+    for col in ("ratio_e1", "ratio_e2"):
+        assert float(row[col]) == pytest.approx(gap / math.log(n), rel=1e-12)
 
 
 class TestMalformedInput:

@@ -47,6 +47,7 @@ from hypentropy.errors import (
     SumInvalid,
 )
 from hypentropy.rng import Xoshiro256StarStar, derive_seed
+from hypentropy.runs import Runs
 from hypentropy.verify import _rand_full
 
 from conftest import random_full
@@ -332,6 +333,49 @@ class TestPerturbationFamilies:
         for family in ("CertaintySpread", "UniformSpike"):
             with pytest.raises(BadDelta, match="cannot allocate"):
                 perturbation_family(family, 10**17, 0.1)
+
+
+class TestAnalyticRuns:
+    """``runs=True`` gives an analytic pair as runs, whose dense form is the
+    pair ``perturbation_family`` returns, float for float."""
+
+    @pytest.mark.parametrize("family", ["CertaintySpread", "UniformSpike"])
+    @pytest.mark.parametrize("n", [2, 3, 129, 10_000])
+    @pytest.mark.parametrize("delta", [0.001, 0.3])
+    def test_runs_are_the_dense_pair(self, family, n, delta):
+        dense = perturbation_family(family, n, delta)
+        runs = perturbation_family(family, n, delta, runs=True)
+        assert isinstance(runs.base.p, Runs) and runs.n == n
+        for got, want in ((runs.base, dense.base),
+                          (runs.perturbed, dense.perturbed)):
+            assert got.n == want.n
+            assert got.p.dense().tobytes() == want.p.tobytes()
+
+    def test_random_smooth_stays_dense(self):
+        pair = perturbation_family("RandomSmooth", 50, 0.1, seed=3, runs=True)
+        assert isinstance(pair.base.p, np.ndarray)
+        assert isinstance(pair.perturbed.p, np.ndarray)
+
+    @pytest.mark.parametrize("family", ["CertaintySpread", "UniformSpike"])
+    def test_runs_share_a_base_apart_from_the_dense_one(self, family):
+        a = perturbation_family(family, 50, 0.1, runs=True)
+        assert perturbation_family(family, 50, 0.3, runs=True).base is a.base
+        assert perturbation_family(family, 50, 0.3).base is not a.base
+
+    @pytest.mark.parametrize("family", ["CertaintySpread", "UniformSpike"])
+    def test_n_past_any_array(self, family):
+        # 8e20 bytes: no array can hold it, and the count overflows a C long.
+        with pytest.raises(BadDelta, match="cannot allocate"):
+            perturbation_family(family, 10**20, 0.1)
+        pair = perturbation_family(family, 10**20, 0.1, runs=True)
+        assert pair.n == pair.base.n == pair.perturbed.n == 10**20
+
+    @pytest.mark.parametrize("runs", [False, True])
+    @pytest.mark.parametrize("family", ["CertaintySpread", "UniformSpike"])
+    def test_n_past_the_float_range(self, family, runs):
+        # 1.0 / N and 2.0 * (N - 1) overflow a float.
+        with pytest.raises(BadDelta):
+            perturbation_family(family, 10**400, 0.1, runs=runs)
 
 
 def _two_draw_random_smooth(n, delta, seed):

@@ -8,8 +8,11 @@ benchmark around it."""
 from __future__ import annotations
 
 import ast
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -130,3 +133,17 @@ def test_the_check_sees_an_unnamed_definition(tmp_path):
         "    return Used()\n")
     (tmp_path / "user.py").write_text("deadline()\n")
     assert _unnamed_definitions(tmp_path, [tmp_path]) == ["module.py:4: dead"]
+
+
+def test_the_cli_loads_verify_only_for_the_verify_command(tmp_path):
+    # A fresh interpreter compiles every module it imports when no bytecode
+    # is written, and only ``verify`` needs the invariant suite.
+    code = ("import sys, types, hypentropy.cli as cli; "
+            "module = sys.modules['hypentropy.verify']; "
+            "assert type(module) is not types.ModuleType; "
+            "cli.main(['verify', '--seed', '0', '--output', sys.argv[1]]); "
+            "assert type(module) is types.ModuleType; "
+            "assert module.run_invariants is cli.verify.run_invariants")
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    subprocess.run([sys.executable, "-c", code, str(tmp_path / "out")],
+                   env=env, check=True, timeout=120)

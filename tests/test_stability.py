@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -14,6 +15,7 @@ from hypentropy import (
     HyperbolicNumber,
     PerturbationPair,
     RealDistribution,
+    StabilityRecord,
     SweepConfig,
     approx_eq,
     embed,
@@ -578,3 +580,123 @@ class TestGoldenSweepOutput:
                      "--output", str(out)]) == 0
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
         assert digest == self.DIGESTS[case]
+
+
+class TestGoldenAnalyticSweep:
+    """SHA-256 of `hypentropy stability` output for both analytic families,
+    all 12 closed-form measures, N at the edges of numpy's summation tree
+    (8, 128, the 2**15 leaf) and up to 1e6, recorded from the dense
+    evaluation before the sweep moved to runs."""
+
+    ARGS = ["--family", "CertaintySpread", "--family", "UniformSpike",
+            "--N-grid", "2,3,7,8,9,127,128,129,1000,32768,32769,65544,"
+                        "123457,1000000",
+            "--delta-grid", "0.01,0.3,0.001"]
+    DIGESTS = {
+        ("0.5", "csv"):
+            "cd8f56721840ca32aa55ad4b762651a40af4d15aeaafb55150cec763929ff5a4",
+        ("0.5", "json"):
+            "20439c376f370705d3dfc280b5540c3744ec02b334bc3ebfdc4e01e4f24cd3e7",
+        ("2.0", "csv"):
+            "2d16d06be1e3cec7e8423139198eff1c8a0f5eeafa17494f36b423d3a53ffe50",
+        ("2.0", "json"):
+            "ecdf02f2129a8a89dbdb0b2757ee0aee4b8a4477f6069d162543c1bf748c6dcd",
+        ("3.7", "csv"):
+            "d4d6177429bdc280cee8e201fdbf0230d8c75a496a7c01836b631b15d3e9807b",
+        ("3.7", "json"):
+            "00707a7942916afa4cd5ded2195066a75a05fc4995feb205e8d4f1873178ada0",
+    }
+
+    @pytest.mark.parametrize("order, fmt", sorted(DIGESTS))
+    def test_output_digest(self, order, fmt, tmp_path):
+        selection = [arg for name, m in MEASURES.items() if m.kernel
+                     for arg in ("--measure", name)]
+        assert len(selection) == 2 * 12
+        out = tmp_path / "sweep.out"
+        assert main(["stability", *self.ARGS, *selection, "--order", order,
+                     "--format", fmt, "--output", str(out)]) == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == self.DIGESTS[order, fmt]
+
+
+LARGE_NS = tuple(10 ** k for k in range(2, 13))
+
+
+def _renyi_trend(family: str, q: float) -> list[StabilityRecord]:
+    """The sweep's renyi and renyi_hyp records at order q, delta = 0.01,
+    N = 1e2 ... 1e12, in N order for each measure."""
+    config = SweepConfig(families=(family,), n_grid=LARGE_NS,
+                         delta_grid=(0.01,),
+                         measures=(("renyi", embed_real(q)),
+                                   ("renyi_hyp", embed_real(q))))
+    records = stability_sweep(config)
+    assert all(r.error is None for r in records)
+    return records
+
+
+class TestLargeNTrend:
+    """The Renyi responses that criterion 8 can only bound at N = 1e5,
+    followed to N = 1e12 on runs: they rise strictly toward 1, as Lesche
+    instability says."""
+
+    def test_uniform_spike_order_2(self):
+        start = time.perf_counter()
+        records = _renyi_trend("UniformSpike", 2.0)
+        for measure in ("renyi", "renyi_hyp"):
+            ratios = [r.ratio.x1 for r in records if r.measure == measure]
+            for n, ratio in zip(LARGE_NS, ratios):
+                want = math.log1p((n - 1) * (0.01 / 2.0) ** 2) / math.log(n)
+                assert abs(ratio - want) < 1e-12
+            assert all(a < b for a, b in zip(ratios, ratios[1:]))
+            assert ratios[LARGE_NS.index(10 ** 8)] > 0.4
+        assert all(r.ratio.x1 == r.ratio.x2 for r in records)
+        assert time.perf_counter() - start < 1.0
+
+    def test_certainty_spread_order_half(self):
+        start = time.perf_counter()
+        records = _renyi_trend("CertaintySpread", 0.5)
+        for measure in ("renyi", "renyi_hyp"):
+            ratios = [r.ratio.x1 for r in records if r.measure == measure]
+            for n, ratio in zip(LARGE_NS, ratios):
+                # The point mass has Renyi entropy 0 at every order.
+                want = 2.0 * math.log(math.sqrt(1.0 - 0.01 / 2.0)
+                                      + math.sqrt((n - 1) * 0.01 / 2.0)
+                                      ) / math.log(n)
+                assert abs(ratio - want) < 1e-12
+            assert all(a < b for a, b in zip(ratios, ratios[1:]))
+            assert ratios[-1] > 0.8
+        assert time.perf_counter() - start < 1.0
+
+
+class TestSweepOnRuns:
+    """An analytic sweep builds no N-element array, so N is limited by the
+    float range rather than by memory."""
+
+    SELECTION = tuple(
+        (name, HyperbolicNumber(0.5, 2.0) if m.check else None)
+        for name, m in MEASURES.items() if m.kernel is not None)
+
+    def test_no_n_element_array_at_a_million(self):
+        # One dense distribution would take 7.63 MiB.
+        config = SweepConfig(families=("CertaintySpread", "UniformSpike"),
+                             n_grid=(1_000_000,), delta_grid=(0.01, 0.3),
+                             measures=self.SELECTION)
+        tracemalloc.start()
+        try:
+            records = stability_sweep(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert all(r.error is None for r in records)
+        assert peak < 1 << 20
+
+    def test_a_trillion_states_in_under_a_second(self):
+        config = SweepConfig(families=("CertaintySpread", "UniformSpike"),
+                             n_grid=(10 ** 12,), delta_grid=(0.01, 0.001),
+                             measures=self.SELECTION)
+        start = time.perf_counter()
+        records = stability_sweep(config)
+        assert time.perf_counter() - start < 1.0
+        assert len(records) == 2 * 2 * 12
+        assert all(r.error is None for r in records)
+        assert all(math.isfinite(r.ratio.x1) for r in records)
