@@ -7,6 +7,8 @@ pass; Renyi measures of order q != 1 admit adversarial perturbation families
 that break the bound as N grows.
 """
 
+import numpy as np
+
 from hypentropy import (
     SweepConfig,
     embed_real,
@@ -21,13 +23,13 @@ from hypentropy.cli import records_to_csv
 # ---------------------------------------------------------------------------
 pair = perturbation_family("CertaintySpread", 3, 0.1)
 print("CertaintySpread N=3 delta=0.1:")
-print("  base     ", pair.base.p)
-print("  perturbed", pair.perturbed.p)
+print("  base     ", np.asarray(pair.base.p))
+print("  perturbed", np.asarray(pair.perturbed.p))
 
 pair = perturbation_family("UniformSpike", 2, 0.2)
 print("UniformSpike N=2 delta=0.2:")
-print("  base     ", pair.base.p)
-print("  perturbed", pair.perturbed.p)
+print("  base     ", np.asarray(pair.base.p))
+print("  perturbed", np.asarray(pair.perturbed.p))
 
 # ---------------------------------------------------------------------------
 # Stability: Shannon's normalized response shrinks with N

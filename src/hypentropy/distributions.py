@@ -184,7 +184,7 @@ def validate(rows) -> HyperbolicDistribution:
 
 def embed(P: RealDistribution) -> HyperbolicDistribution:
     """Embed a real distribution: every entry becomes p * (e1 + e2)."""
-    return HyperbolicDistribution(P.p.copy(), P.p.copy(), Case.FULL)
+    return HyperbolicDistribution(np.array(P.p), np.array(P.p), Case.FULL)
 
 
 def uniform(n: int) -> RealDistribution:
@@ -230,7 +230,7 @@ def _certainty_spread_base(n: int) -> Runs:
 
 
 def _certainty_spread(n: int, delta: float) -> Runs:
-    return Runs((1.0 - delta / 2.0, delta / (2.0 * (n - 1))), (1, n - 1))
+    return Runs((1.0 - delta / 2.0, delta / 2.0 / (n - 1)), (1, n - 1))
 
 
 def _uniform_base(n: int) -> Runs:
@@ -254,7 +254,7 @@ SEEDED_FAMILIES = ("RandomSmooth",)
 FAMILIES = (*_ANALYTIC, *SEEDED_FAMILIES)
 
 
-# The analytic bases alive, by (family, n, runs), held weakly: the pairs
+# The analytic bases alive, by (family, n), held weakly: the pairs
 # alive at once share one base, and it is freed with the last of them.
 _BASES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
@@ -283,20 +283,21 @@ def _random_smooth(
 
 
 def perturbation_family(
-    family: str, n: int, delta: float, seed: int = 0, runs: bool = False
+    family: str, n: int, delta: float, seed: int = 0
 ) -> PerturbationPair:
     """Generate one adversarial (base, perturbed) pair.
 
     CertaintySpread spreads a point mass (L1 distance exactly delta);
     UniformSpike adds a spike of delta/2 on a uniform base (L1 distance
     delta * (1 - 1/n)); RandomSmooth perturbs a seeded random base along a
-    zero-sum direction with L1 distance exactly delta.  The pairs of one
-    analytic family and n that are alive at once share one read-only base.
+    zero-sum direction with L1 distance exactly delta.
 
-    With ``runs``, an analytic family's distributions hold ``Runs`` rather
-    than arrays, which the measure kernels and the L1 norm evaluate with
-    the same bits in O(log N); RandomSmooth stays dense.  An N whose
-    family cannot be built (no float or array can hold it) is ``BadDelta``.
+    An analytic distribution is two runs, state 0 and the other n - 1
+    states: its ``p`` is a ``Runs``, which the kernels and the L1 norm
+    evaluate with the dense array's bits in O(log N), and ``np.asarray(p)``
+    is that array.  The pairs of one analytic family and n alive at once
+    share one read-only base.  RandomSmooth is dense.  An N that no float
+    or array can hold is ``BadDelta``.
     """
     if n < 2:
         raise BadDelta("perturbation families need at least two states")
@@ -305,16 +306,10 @@ def perturbation_family(
     try:
         if family in _ANALYTIC:
             base, perturbed = _ANALYTIC[family]
-            P = _BASES.get((family, n, runs))
+            P = _BASES.get((family, n))
             if P is None:
-                p = base(n)
-                if not runs:
-                    p = p.dense()
-                    p.flags.writeable = False
-                P = _BASES[family, n, runs] = RealDistribution(p)
+                P = _BASES[family, n] = RealDistribution(base(n))
             q = perturbed(n, delta)
-            if not runs:
-                q = q.dense()
         elif family == "RandomSmooth":
             p, q = _random_smooth(n, delta, Xoshiro256StarStar(seed))
             P = RealDistribution(p)
@@ -417,7 +412,7 @@ def hyp_from_csv(text: str) -> HyperbolicDistribution:
 
 
 def real_to_json(P: RealDistribution) -> str:
-    return json.dumps([float(v) for v in P.p])
+    return json.dumps([float(v) for v in np.asarray(P.p)])
 
 
 def real_from_json(text: str) -> RealDistribution:
@@ -434,7 +429,7 @@ def real_to_csv(P: RealDistribution) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["p"])
-    for v in P.p:
+    for v in np.asarray(P.p):
         writer.writerow([f"{v:.17g}"])
     return buf.getvalue()
 

@@ -335,8 +335,9 @@ def extropy_duality_check(P: RealDistribution) -> DualityResult:
     the per-state binary entropies with ``math.fsum``, apart from the extropy
     kernel, so a wrong extropy formula shows as a gap between the sides.
     """
-    binary = np.zeros_like(P.p)
-    for x in (P.p, 1.0 - P.p):
+    p = np.asarray(P.p)
+    binary = np.zeros_like(p)
+    for x in (p, 1.0 - p):
         pos = x > 0.0
         binary[pos] -= x[pos] * np.log(x[pos])
     return DualityResult(lhs=extropy(P), rhs=math.fsum(binary) - shannon(P))
@@ -370,7 +371,7 @@ def shannon_via_generating(P: RealDistribution) -> float:
     distribution, whose coordinates are equal; requires strictly positive
     probabilities and must land within 1e-8 of the closed form.
     """
-    if np.any(P.p <= 0.0):
+    if P.p.min() <= 0.0:
         raise ZeroProbability("generating-function route needs p > 0")
     return strong_shannon_via_generating(embed(P)).x1
 

@@ -32,20 +32,25 @@ class Runs:
     array: ``size``, ``ndim``, ``min``, ``max``, ``sum`` (the bits of the
     whole array's numpy sum), ``x - runs`` for a scalar x, and the
     comparison ``runs > x`` whose mask, one entry per run, selects runs by
-    ``runs[mask]``.  Counts are Python ints, so ``size`` may pass 2**63.
+    ``runs[mask]``; ``np.asarray(runs)`` is the N-element array.  Counts
+    are Python ints, so ``size`` may pass 2**63; values are a read-only copy.
     """
 
     __slots__ = ("values", "counts", "size")
     ndim = 1
 
     def __init__(self, values: Iterable[float], counts: Iterable[int]):
-        self.values = np.asarray(values, dtype=float)
+        self.values = np.array(values, dtype=float)
+        self.values.flags.writeable = False
         self.counts = tuple(counts)
         self.size = sum(self.counts)
 
     def dense(self) -> np.ndarray:
         """The N-element array, ``np.repeat(values, counts)``."""
         return np.repeat(self.values, self.counts)
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return self.dense()
 
     def min(self) -> np.floating:
         return self.values.min()

@@ -173,14 +173,13 @@ def stability_sweep(config: SweepConfig) -> list[StabilityRecord]:
     """Evaluate every (family, measure, N, delta) cell deterministically.
 
     Each cell is ``perturbation_family(family, n, delta, seed=derive_seed(
-    config.seed, family, n, delta), runs=True)``; the seed is derived only
-    for a family of ``SEEDED_FAMILIES``, as no other family reads it.  An
-    analytic family's pair is evaluated on its runs, with the bits of the
-    dense pair and no N-element array.  Its base depends on n alone, and
-    ``perturbation_family`` returns one base object for all deltas of that n
-    while the sweep holds it, so it is evaluated once for all of them.  Per-cell
-    errors become error rows (machine-readable code in ``error``) instead of
-    aborting the sweep.  Output is sorted by (family, measure, N, delta).
+    config.seed, family, n, delta))``, the seed derived only for a family of
+    ``SEEDED_FAMILIES``, as no other family reads it.  An analytic pair is
+    two runs, and its base, which depends on n alone, is one object for all
+    deltas of that n while the sweep holds it, so it is evaluated once for
+    all of them.  Per-cell errors become error rows (machine-readable code
+    in ``error``) instead of aborting the sweep.  Output is sorted by
+    (family, measure, N, delta).
     """
     records: list[StabilityRecord] = []
     base, base_memo = None, {}
@@ -189,8 +188,7 @@ def stability_sweep(config: SweepConfig) -> list[StabilityRecord]:
         try:
             seed = (derive_seed(config.seed, family, n, delta)
                     if family in SEEDED_FAMILIES else 0)
-            pair = perturbation_family(family, n, delta, seed=seed,
-                                       runs=True)
+            pair = perturbation_family(family, n, delta, seed=seed)
             if pair.base is not base:
                 base, base_memo = pair.base, {}
             results = _evaluate_pair(pair, config.measures, base_memo)

@@ -22,8 +22,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hypentropy import SweepConfig, cli, embed_real, measures, stability_sweep, \
-    verify
+from hypentropy import SweepConfig, cli, embed_real, measures, runs, \
+    stability_sweep, verify
 from hypentropy.cli import (
     STABILITY_CSV_HEADER,
     EXIT_INVARIANT,
@@ -615,6 +615,23 @@ class TestVerifyCommand:
                                 dataclasses.replace(entry, kernel=wrong))
         failed = {r.name for r in verify.run_invariants(0) if not r.passed}
         assert "measure-factorization" in failed
+
+    @pytest.mark.parametrize("modules, name, invariant", [
+        ((runs, measures), "run_sum", "perturbation-norm-bound"),
+    ], ids=["run_sum"])
+    def test_layer_off_by_1e_6_fails_its_invariant(self, monkeypatch, modules,
+                                                   name, invariant):
+        # Each row is a layer made wrong by 1e-6 in every module that binds
+        # it, and the invariant that must then fail at seed 0.
+        exact = getattr(modules[0], name)
+
+        def wrong(*args):
+            return exact(*args) * (1.0 + 1e-6)
+
+        for module in modules:
+            monkeypatch.setattr(module, name, wrong)
+        failed = {r.name for r in verify.run_invariants(0) if not r.passed}
+        assert invariant in failed
 
     def test_one_result_per_check_in_table_order(self):
         extra = [("extra-holds", lambda seed: None),

@@ -18,10 +18,14 @@ from hypentropy import (
     HyperbolicDistribution,
     HyperbolicNumber,
     RealDistribution,
+    SweepConfig,
     embed,
     embed_real,
+    extropy_duality_check,
     mix,
     perturbation_family,
+    shannon_via_generating,
+    stability_sweep,
     uniform,
     uniform_hyp,
     validate,
@@ -41,6 +45,7 @@ from hypentropy.errors import (
     BadDelta,
     CaseMismatch,
     ComponentExceedsOne,
+    HypentropyError,
     LambdaOutOfRange,
     LengthMismatch,
     NegativeComponent,
@@ -261,17 +266,19 @@ class TestMix:
 class TestPerturbationFamilies:
     def test_certainty_spread_example(self):
         pair = perturbation_family("CertaintySpread", 3, 0.1)
-        assert np.array_equal(pair.base.p, [1.0, 0.0, 0.0])
-        assert np.allclose(pair.perturbed.p, [0.95, 0.025, 0.025])
-        assert abs(np.abs(pair.base.p - pair.perturbed.p).sum() - 0.1) < 1e-15
+        p, q = np.asarray(pair.base.p), np.asarray(pair.perturbed.p)
+        assert np.array_equal(p, [1.0, 0.0, 0.0])
+        assert np.allclose(q, [0.95, 0.025, 0.025])
+        assert abs(np.abs(p - q).sum() - 0.1) < 1e-15
 
     def test_uniform_spike_example(self):
         pair = perturbation_family("UniformSpike", 2, 0.2)
-        assert np.array_equal(pair.base.p, [0.5, 0.5])
-        assert np.allclose(pair.perturbed.p, [0.55, 0.45])
+        p, q = np.asarray(pair.base.p), np.asarray(pair.perturbed.p)
+        assert np.array_equal(p, [0.5, 0.5])
+        assert np.allclose(q, [0.55, 0.45])
         # L1 size is delta * (1 - 1/N), not delta itself: the spike delta/2
         # is partly compensated by the uniform rescaling.
-        assert abs(np.abs(pair.base.p - pair.perturbed.p).sum() - 0.1) < 1e-15
+        assert abs(np.abs(p - q).sum() - 0.1) < 1e-15
 
     def test_random_smooth_norm_exact(self):
         for seed in (0, 1, 42):
@@ -289,7 +296,8 @@ class TestPerturbationFamilies:
         for family in FAMILIES:
             for n in (2, 5, 100):
                 pair = perturbation_family(family, n, 0.05, seed=9)
-                norm = float(np.abs(pair.base.p - pair.perturbed.p).sum())
+                norm = float(np.abs(np.asarray(pair.base.p)
+                                    - np.asarray(pair.perturbed.p)).sum())
                 assert norm <= 0.05 + 1e-12
 
     def test_families_keep_their_order(self):
@@ -301,9 +309,9 @@ class TestPerturbationFamilies:
         a = perturbation_family(family, 50, 0.1)
         b = perturbation_family(family, 50, 0.3, seed=5)
         assert a.base is b.base
-        assert not a.base.p.flags.writeable
+        assert not a.base.p.values.flags.writeable
         with pytest.raises(ValueError):
-            a.base.p[0] = 0.5
+            a.base.p.values[0] = 0.5
         assert perturbation_family(family, 60, 0.1).base is not a.base
 
     def test_no_base_outlives_its_pairs(self):
@@ -328,54 +336,94 @@ class TestPerturbationFamilies:
             perturbation_family("CertaintySpread", 3, 1.0)
         with pytest.raises(BadDelta):
             perturbation_family("NoSuchFamily", 3, 0.1)
-        # 8e17 bytes lie past any 64-bit address space, so the first
-        # allocation fails whatever the host's overcommit policy.
+        # An analytic pair is two runs, so no N-element array is allocated.
         for family in ("CertaintySpread", "UniformSpike"):
-            with pytest.raises(BadDelta, match="cannot allocate"):
-                perturbation_family(family, 10**17, 0.1)
+            assert perturbation_family(family, 10**17, 0.1).n == 10**17
 
 
 class TestAnalyticRuns:
-    """``runs=True`` gives an analytic pair as runs, whose dense form is the
-    pair ``perturbation_family`` returns, float for float."""
+    """An analytic pair is two runs, whose dense form is the closed form:
+    the first state, then n - 1 equal states."""
+
+    @staticmethod
+    def closed_form(family, n, delta):
+        # The family halves delta before dividing by n - 1; with no
+        # overflow, that rounds as delta / (2 (n - 1)) does.
+        if family == "CertaintySpread":
+            return ([1.0] + [0.0] * (n - 1),
+                    [1.0 - delta / 2.0] + [delta / (2.0 * (n - 1))] * (n - 1))
+        low = (1.0 - delta / 2.0) / n
+        return [1.0 / n] * n, [low + delta / 2.0] + [low] * (n - 1)
 
     @pytest.mark.parametrize("family", ["CertaintySpread", "UniformSpike"])
     @pytest.mark.parametrize("n", [2, 3, 129, 10_000])
     @pytest.mark.parametrize("delta", [0.001, 0.3])
     def test_runs_are_the_dense_pair(self, family, n, delta):
-        dense = perturbation_family(family, n, delta)
-        runs = perturbation_family(family, n, delta, runs=True)
-        assert isinstance(runs.base.p, Runs) and runs.n == n
-        for got, want in ((runs.base, dense.base),
-                          (runs.perturbed, dense.perturbed)):
-            assert got.n == want.n
-            assert got.p.dense().tobytes() == want.p.tobytes()
+        pair = perturbation_family(family, n, delta)
+        assert isinstance(pair.base.p, Runs) and pair.n == n
+        for got, want in zip((pair.base, pair.perturbed),
+                             self.closed_form(family, n, delta)):
+            assert isinstance(got.p, Runs) and got.n == n
+            assert np.asarray(got.p).tobytes() == np.array(want).tobytes()
 
     def test_random_smooth_stays_dense(self):
-        pair = perturbation_family("RandomSmooth", 50, 0.1, seed=3, runs=True)
+        pair = perturbation_family("RandomSmooth", 50, 0.1, seed=3)
         assert isinstance(pair.base.p, np.ndarray)
         assert isinstance(pair.perturbed.p, np.ndarray)
 
     @pytest.mark.parametrize("family", ["CertaintySpread", "UniformSpike"])
     def test_runs_share_a_base_apart_from_the_dense_one(self, family):
-        a = perturbation_family(family, 50, 0.1, runs=True)
-        assert perturbation_family(family, 50, 0.3, runs=True).base is a.base
-        assert perturbation_family(family, 50, 0.3).base is not a.base
+        # The dense form is a fresh array each time: writing to it leaves
+        # the shared base as it was.
+        a = perturbation_family(family, 50, 0.1)
+        dense = np.asarray(a.base.p)
+        dense[0] = 0.5
+        assert perturbation_family(family, 50, 0.3).base is a.base
+        assert np.asarray(a.base.p)[0] != 0.5
 
     @pytest.mark.parametrize("family", ["CertaintySpread", "UniformSpike"])
     def test_n_past_any_array(self, family):
         # 8e20 bytes: no array can hold it, and the count overflows a C long.
-        with pytest.raises(BadDelta, match="cannot allocate"):
-            perturbation_family(family, 10**20, 0.1)
-        pair = perturbation_family(family, 10**20, 0.1, runs=True)
+        pair = perturbation_family(family, 10**20, 0.1)
         assert pair.n == pair.base.n == pair.perturbed.n == 10**20
 
-    @pytest.mark.parametrize("runs", [False, True])
     @pytest.mark.parametrize("family", ["CertaintySpread", "UniformSpike"])
-    def test_n_past_the_float_range(self, family, runs):
-        # 1.0 / N and 2.0 * (N - 1) overflow a float.
+    def test_n_past_the_float_range(self, family):
+        # 1.0 / N and delta / 2.0 / (N - 1) overflow a float.
         with pytest.raises(BadDelta):
-            perturbation_family(family, 10**400, 0.1, runs=runs)
+            perturbation_family(family, 10**400, 0.1)
+
+    @pytest.mark.parametrize("n", [9 * 10**307, 10**308, 17 * 10**307],
+                             ids=["9e307", "1e308", "1.7e308"])
+    def test_certainty_spread_near_the_float_maximum(self, n):
+        # 2.0 * (N - 1) would overflow to inf here, and the spread value
+        # with it to 0.0.
+        pair = perturbation_family("CertaintySpread", n, 0.1)
+        assert pair.perturbed.p.values[1] > 0.0
+        config = SweepConfig(families=("CertaintySpread",), n_grid=(n,),
+                             delta_grid=(0.1,),
+                             measures=(("shannon", None),
+                                       ("renyi", embed_real(2.0))))
+        assert all(r.error is None for r in stability_sweep(config))
+
+    @pytest.mark.parametrize("family", ["CertaintySpread", "UniformSpike"])
+    @pytest.mark.parametrize("side", ["base", "perturbed"])
+    def test_dense_entry_points_see_the_repeated_array(self, family, side):
+        runs = getattr(perturbation_family(family, 40, 0.1), side)
+        dense = RealDistribution(np.repeat(runs.p.values, runs.p.counts))
+
+        def outcome(f, P):
+            try:
+                return f(P)
+            except HypentropyError as exc:
+                return type(exc)
+
+        B, C = embed(runs), embed(dense)
+        assert (B.case, B.p1.tobytes(), B.p2.tobytes()) == \
+            (C.case, C.p1.tobytes(), C.p2.tobytes())
+        for f in (extropy_duality_check, shannon_via_generating,
+                  real_to_json, real_to_csv):
+            assert outcome(f, runs) == outcome(f, dense), f.__name__
 
 
 def _two_draw_random_smooth(n, delta, seed):

@@ -1,9 +1,9 @@
 """Module boundaries inside the package: no module imports another
 module's private name, so each decision stays behind the module that owns
 it (the family table behind ``distributions``, the kernels behind
-``measures``); only ``Measure.of`` calls a registry kernel; and no function,
-class or method of the package goes unnamed by the code, tests, demos and
-benchmark around it."""
+``measures``); only ``Measure.of`` calls a registry kernel, and only
+``runs`` calls ``Runs.dense``; and no function, class or method of the
+package goes unnamed by the code, tests, demos and benchmark around it."""
 
 from __future__ import annotations
 
@@ -86,6 +86,36 @@ def test_the_check_sees_a_kernel_call(tmp_path):
         "module.py:5: self.kernel(...)",
         "module.py:8: kernel(...)",
         "module.py:9: MEASURES['shannon'].kernel(...)",
+    ]
+
+
+def _dense_calls(path: pathlib.Path) -> list[str]:
+    """``.dense()`` calls in one source file: outside ``runs``, an
+    N-element array is read as ``np.asarray``, so a reader sees where one
+    is built."""
+    calls = [node for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "attr", None) == "dense"]
+    return [f"{path.name}:{node.lineno}: {ast.unparse(node)}"
+            for node in sorted(calls, key=lambda node: node.lineno)]
+
+
+@pytest.mark.parametrize("path", sorted(set(SRC.glob("*.py"))
+                                        - {SRC / "runs.py"}),
+                         ids=lambda p: p.name)
+def test_only_runs_calls_dense(path):
+    assert _dense_calls(path) == []
+
+
+def test_the_check_sees_a_dense_call(tmp_path):
+    path = tmp_path / "module.py"
+    path.write_text("def f(P, dense):\n"
+                    "    q = P.p.dense()\n"
+                    "    return dense(q), P.p.dense\n"
+                    "x = np.asarray(f(P).dense())\n")
+    assert _dense_calls(path) == [
+        "module.py:2: P.p.dense()",
+        "module.py:4: f(P).dense()",
     ]
 
 

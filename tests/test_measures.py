@@ -730,7 +730,8 @@ class TestKernelsReadInPlace:
             **{f"dirichlet-{n}": rng.dirichlet(np.ones(n))
                for n in (2, 1000, 100_000)},
             "certainty-spread-base":
-                perturbation_family("CertaintySpread", 1000, 0.01).base.p,
+                np.asarray(
+                    perturbation_family("CertaintySpread", 1000, 0.01).base.p),
             "entry-one": np.array([0.25, 1.0, 0.5]),
             "entry-above-one": np.array([0.25, 1.0 + 1e-10, 0.5]),
         }
