@@ -387,11 +387,17 @@ class TestAnalyticRuns:
         pair = perturbation_family(family, 10**20, 0.1)
         assert pair.n == pair.base.n == pair.perturbed.n == 10**20
 
+    @pytest.mark.parametrize("warm", [False, True])
     @pytest.mark.parametrize("family", ["CertaintySpread", "UniformSpike"])
-    def test_n_past_the_float_range(self, family):
-        # 1.0 / N and delta / 2.0 / (N - 1) overflow a float.
+    def test_n_past_the_float_range(self, family, warm):
+        # 1.0 / N and delta / 2.0 / (N - 1) overflow a float.  Warm: a pair
+        # of the family holds its shared base alive, and the failure leaves
+        # that base as it was.
+        held = perturbation_family(family, 50, 0.1) if warm else None
         with pytest.raises(BadDelta):
             perturbation_family(family, 10**400, 0.1)
+        if warm:
+            assert perturbation_family(family, 50, 0.3).base is held.base
 
     @pytest.mark.parametrize("n", [9 * 10**307, 10**308, 17 * 10**307],
                              ids=["9e307", "1e308", "1.7e308"])
