@@ -2,18 +2,18 @@
 
 An analytic perturbation family takes only two values, so its N-element
 distribution is two runs: (values, counts) with counts summing to N.
-``run_sum`` gives the bits of numpy's ``.sum()`` of the whole array from the
-runs in O(R log N) float additions, so a measure or a norm of such a
-distribution builds no N-element array, and N is limited by the float range
-rather than by memory.
+``run_sum`` gives the bits of numpy's ``.sum()`` of the whole array by a
+plan of O(R log N) float additions, built once per counts tuple and cached,
+so a measure or a norm of such a distribution builds no N-element array,
+and N is limited by the float range rather than by memory.
 """
 
 from __future__ import annotations
 
 import bisect
 import itertools
-from functools import reduce
-from operator import add
+from functools import lru_cache, reduce
+from operator import add, itemgetter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -95,53 +95,66 @@ def _copies_sum(v: float, n: int) -> float:
                   ((r + r) + (r + r)) + ((r + r) + (r + r)))
 
 
-def run_sum(values: Sequence[float], counts: Sequence[int]) -> np.float64:
-    """``np.repeat(values, counts).sum()``, bit for bit, without the array.
+# Plan steps: (_ADD, j, k) adds the results of steps j and k, (_COPIES, i, n)
+# sums n copies of run i, and (_CROSSING, get, None) sums ``get(values)``.
+_ADD, _COPIES, _CROSSING = range(3)
 
-    numpy adds its identity 0.0 to the pairwise sum of the whole array: a
-    stretch of n > 128 elements is split at h = n // 2 rounded down to a
+
+@lru_cache(maxsize=256)
+def _plan(counts: tuple[int, ...]) -> tuple[tuple, ...]:
+    """The steps that sum runs with these counts along numpy's tree.
+
+    A stretch of n > 128 elements is split at h = n // 2 rounded down to a
     multiple of 8, and the sums of its two halves are added; a shorter one
-    is summed by ``_block_sum``.  A stretch inside one run is a function of
-    (run, length) alone and is summed once; the stretches that cross a run
-    boundary number at most R - 1 per level of the tree.  The tree is
-    walked with an explicit stack, as it is 1,000 levels deep at N = 1e308.
+    is summed by ``_block_sum``.  A stretch inside run i depends on (i, n)
+    alone and gets one step; at most R - 1 stretches per level cross a run
+    boundary.  The tree is 1,000 levels deep at N = 1e308, so it is walked
+    with a stack.
     """
-    x = np.asarray(values, dtype=float).tolist()
-    ends = list(itertools.accumulate(int(c) for c in counts))
-    total = ends[-1] if ends else 0
-    if not total:
-        return np.float64(0.0)
-    memo: dict[tuple[int, int], float] = {}
-    sums: list[float] = []
-    # (start, n): sum that stretch; (key,): add the two sums on top of
-    # ``sums``, and memoize the result under key unless it is None.
-    todo: list[tuple] = [(0, total)]
+    ends = list(itertools.accumulate(counts))
+    steps: list[tuple] = []
+    memo: dict[tuple, int] = {}  # stretch key -> the step that sums it
+    done: list[int] = []  # the steps of the stretches summed so far
+    # (start, n): sum that stretch; (key,): add the top two of ``done``.
+    todo: list[tuple] = [(0, ends[-1])] if ends and ends[-1] else []
     while todo:
         task = todo.pop()
         if len(task) == 1:
-            right = sums.pop()
-            sums[-1] += right
-            if task[0] is not None:
-                memo[task[0]] = sums[-1]
-            continue
-        start, n = task
-        stop = start + n
-        i = bisect.bisect_right(ends, start)
-        key = (i, n) if stop <= ends[i] else None
-        if key in memo:
-            sums.append(memo[key])
-        elif n > _BLOCK:
-            h = n // 2
-            h -= h % 8
-            todo += [(key,), (start + h, n - h), (start, h)]
-        elif key is not None:
-            memo[key] = _copies_sum(x[i], n)
-            sums.append(memo[key])
+            key, right = task[0], done.pop()
+            step = (_ADD, done.pop(), right)
         else:
-            part, pos = [], start
-            while pos < stop:
-                k = min(ends[i], stop) - pos
-                part += [x[i]] * k
-                pos, i = pos + k, i + 1
-            sums.append(_block_sum(part))
-    return np.float64(0.0 + sums[0])
+            start, n = task
+            i = bisect.bisect_right(ends, start)
+            # A stretch that crosses a run boundary is met once, at its place.
+            key = (i, n) if start + n <= ends[i] else (start, n, None)
+            if key in memo:
+                done.append(memo[key])
+                continue
+            if n > _BLOCK:
+                h = n // 2 - n // 2 % 8
+                todo += [(key,), (start + h, n - h), (start, h)]
+                continue
+            if len(key) == 2:
+                step = (_COPIES, i, n)
+            else:
+                get = itemgetter(*[bisect.bisect_right(ends, j)
+                                   for j in range(start, start + n)])
+                step = (_CROSSING, get, None)
+        memo[key] = len(steps)
+        done.append(len(steps))
+        steps.append(step)
+    return tuple(steps)
+
+
+def run_sum(values: Sequence[float], counts: Sequence[int]) -> np.float64:
+    """``np.repeat(values, counts).sum()``, bit for bit, without the array.
+
+    numpy adds its identity 0.0 to the array's pairwise sum: the program
+    ``_plan(counts)``, built once per counts tuple, run on the values.
+    """
+    x = np.asarray(values, dtype=float).tolist()
+    r: list[float] = []
+    for kind, a, b in _plan(tuple(map(int, counts))):
+        r.append(r[a] + r[b] if kind == _ADD else _copies_sum(x[a], b)
+                 if kind == _COPIES else _block_sum(a(x)))
+    return np.float64(0.0 + r[-1] if r else 0.0)

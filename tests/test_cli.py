@@ -22,8 +22,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hypentropy import SweepConfig, cli, embed_real, measures, runs, \
-    stability_sweep, verify
+from hypentropy import SweepConfig, calculus, cli, embed_real, measures, \
+    runs, stability, stability_sweep, verify
 from hypentropy.cli import (
     STABILITY_CSV_HEADER,
     EXIT_INVARIANT,
@@ -618,7 +618,11 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("modules, name, invariant", [
         ((runs, measures), "run_sum", "perturbation-norm-bound"),
-    ], ids=["run_sum"])
+        ((runs,), "_copies_sum", "perturbation-norm-bound"),
+        ((runs,), "_block_sum", "perturbation-norm-bound"),
+        ((stability,), "_l1", "perturbation-norm-bound"),
+        ((calculus,), "_fd_derivative", "derivative-fd-agreement"),
+    ], ids=["run_sum", "_copies_sum", "_block_sum", "_l1", "_fd_derivative"])
     def test_layer_off_by_1e_6_fails_its_invariant(self, monkeypatch, modules,
                                                    name, invariant):
         # Each row is a layer made wrong by 1e-6 in every module that binds

@@ -12,9 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypentropy import HyperbolicNumber, RealDistribution, lesche_norm
+from hypentropy import HyperbolicNumber, RealDistribution, SweepConfig, \
+    lesche_norm, stability_sweep
 from hypentropy.measures import MEASURES, evaluate, pairwise_sum
-from hypentropy.runs import Runs, run_sum
+from hypentropy.runs import Runs, _plan, run_sum
 
 LEAF = 2 ** 15
 # Counts at each edge of numpy's summation: the 8-wide unrolled loop, the
@@ -57,6 +58,40 @@ class TestRunSum:
         assert _bits(run_sum([], [])) == _bits(np.float64(0.0))
         assert _bits(run_sum([1.5, 2.0, 0.25], [3, 0, 200])) \
             == _bits(np.repeat([1.5, 2.0, 0.25], [3, 0, 200]).sum())
+
+
+class TestPlanCache:
+    """``run_sum`` compiles one plan per counts tuple into a bounded cache."""
+
+    def test_cache_is_bounded(self):
+        _plan.cache_clear()
+        size = _plan.cache_info().maxsize
+        for n in range(2, size + 50):
+            run_sum([0.5, 0.25], [1, n])
+        info = _plan.cache_info()
+        assert (info.currsize, info.misses) == (size, size + 48)
+
+    def test_one_plan_per_counts_tuple_of_a_sweep(self, monkeypatch):
+        seen = set()
+
+        def recording(values, counts):
+            seen.add(tuple(counts))
+            return run_sum(values, counts)
+
+        for module in ("runs", "measures"):
+            monkeypatch.setattr(f"hypentropy.{module}.run_sum", recording)
+        config = SweepConfig(
+            families=("CertaintySpread", "UniformSpike"),
+            n_grid=(10 ** 4, 10 ** 5, 10 ** 6), delta_grid=(1e-3, 1e-2),
+            measures=[("shannon", None), ("strong_shannon_hyp", None),
+                      ("renyi", HyperbolicNumber(2.0, 2.0))])
+        _plan.cache_clear()
+        first = stability_sweep(config)
+        info = _plan.cache_info()
+        assert {(1, 10 ** 4 - 1), (1, 10 ** 6 - 1)} <= seen
+        assert info.misses == len(seen)
+        assert repr(stability_sweep(config)) == repr(first)
+        assert _plan.cache_info().misses == info.misses
 
 
 class TestRuns:
