@@ -15,9 +15,10 @@ import argparse
 import csv
 import importlib.util
 import io
-import json
+import math
 import sys
 import types
+from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence, Union
 
 from . import distributions as dist
@@ -59,6 +60,44 @@ STABILITY_CSV_HEADER = [
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
+
+
+def _json_scalar(v) -> str:
+    """A float, str, None, bool or int as ``json.dumps`` writes it."""
+    if isinstance(v, float):
+        if math.isfinite(v):
+            return float.__repr__(v)
+        return "NaN" if v != v else "Infinity" if v > 0 else "-Infinity"
+    if isinstance(v, str):
+        return encode_basestring_ascii(v)
+    if v is None:
+        return "null"
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, int):
+        return int.__repr__(v)
+    raise TypeError(f"a JSON table cell cannot be a {type(v).__name__}")
+
+
+def _json_table(rows: Sequence[dict]) -> str:
+    """``json.dumps(rows, indent=2) + "\\n"``, byte for byte, for rows of
+    scalars and lists of scalars.
+
+    json's C encoder serves only ``indent=None``; with an indent, json runs
+    its pure-Python encoder, which is slower than the CSV writer."""
+    items = []
+    for row in rows:
+        fields = []
+        for key, v in row.items():
+            if isinstance(v, (list, tuple)):
+                v = ("[\n      " + ",\n      ".join(map(_json_scalar, v))
+                     + "\n    ]") if v else "[]"
+            else:
+                v = _json_scalar(v)
+            fields.append(f"{encode_basestring_ascii(key)}: {v}")
+        items.append("  {\n    " + ",\n    ".join(fields) + "\n  }"
+                     if fields else "  {}")
+    return "[\n" + ",\n".join(items) + "\n]\n" if items else "[]\n"
 
 
 def _parse_order(text: str) -> HyperbolicNumber:
@@ -122,7 +161,7 @@ def cmd_entropy(args: argparse.Namespace) -> int:
         rows.append({"measure": name, "order_e1": o1, "order_e2": o2,
                      "value_e1": _fmt(v1), "value_e2": _fmt(v2)})
     if args.format == "json":
-        text = json.dumps(rows, indent=2) + "\n"
+        text = _json_table(rows)
     else:
         buf = io.StringIO()
         writer = csv.DictWriter(
@@ -188,7 +227,7 @@ def _records_to_json(records: Sequence[StabilityRecord], basis: str) -> str:
             "ratio": list(_value_columns(rec.ratio, basis)),
             "error": rec.error,
         })
-    return json.dumps(payload, indent=2) + "\n"
+    return _json_table(payload)
 
 
 def _integral(token: str) -> int:

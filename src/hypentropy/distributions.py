@@ -330,12 +330,21 @@ def hyp_to_json(B: HyperbolicDistribution) -> str:
     return json.dumps(payload)
 
 
-def _check_json_cells(cells: np.ndarray, values, noun: str) -> None:
-    """Reject a JSON null, true or false among the cells.
+def _check_json_cells(text: str, cells: np.ndarray, values, noun: str
+                      ) -> None:
+    """Reject a JSON null, true or false among the cells, and a string cell
+    with a non-ASCII character, such as a fullwidth digit ``float()`` reads.
 
-    numpy reads them as NaN, 1 and 0.  Only a cell outside (0, 1) can be
-    one, so the exact per-cell test runs only when such a cell is there.
+    numpy reads null, true and false as NaN, 1 and 0.  Only a cell outside
+    (0, 1) can be one of them, and a string holds a non-ASCII character
+    only if the text has one or an escape.  Each per-cell test runs only
+    then, so a file of plain numbers costs an O(1) ``isascii`` and a
+    ``memchr`` for a backslash.
     """
+    if not text.isascii() or "\\" in text:
+        values = list(values)
+        if any(isinstance(v, str) and not v.isascii() for v in values):
+            raise ValueError(f"a {noun} has a non-ASCII character")
     if ((cells > 0) & (cells < 1)).all():
         return
     kinds = set(map(type, values))
@@ -353,7 +362,8 @@ def hyp_from_json(text: str) -> HyperbolicDistribution:
     if set(map(len, rho)) - {2}:
         raise ValueError("every row of rho needs exactly two components")
     cells = np.fromiter(itertools.chain.from_iterable(rho), float, 2 * len(rho))
-    _check_json_cells(cells, itertools.chain.from_iterable(rho), "component")
+    _check_json_cells(text, cells, itertools.chain.from_iterable(rho),
+                      "component")
     B = validate(cells.reshape(-1, 2))
     declared = payload.get("case")
     if declared is not None and declared != B.case.value:
@@ -386,7 +396,8 @@ def _csv_cells(text: str, header: list[str]) -> np.ndarray:
 
     Cells are comma-separated numbers, optionally in double quotes; cells
     past the header's columns are ignored, empty lines are skipped, and any
-    other line (a comment, a short row, a non-numeric cell) is a ValueError.
+    other line (a comment, a short row, a non-numeric cell or one with a
+    non-ASCII character) is a ValueError.
     A line that holds a quote is read as ``_csv_line`` reads the header
     too, since ``np.loadtxt`` would read an unclosed quote on to the end of
     the text.
@@ -399,6 +410,13 @@ def _csv_cells(text: str, header: list[str]) -> np.ndarray:
         for line in lines:
             if '"' in line:
                 _csv_line(line)
+    if not text.isascii():
+        # np.loadtxt reads a number with non-ASCII spaces around it.
+        for line in lines:
+            if not line.isascii() and not all(map(
+                    str.isascii, next(csv.reader([line]))[:len(header)])):
+                raise ValueError(f"a CSV cell has a non-ASCII character: "
+                                 f"{line!r}")
     with warnings.catch_warnings():
         # No data lines give an empty array; the caller rejects it.
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
@@ -421,7 +439,7 @@ def real_from_json(text: str) -> RealDistribution:
     if p.ndim != 1:
         raise ValueError("expected a flat array of probabilities, "
                          f"got an array of shape {p.shape}")
-    _check_json_cells(p, values, "probability")
+    _check_json_cells(text, p, values, "probability")
     return RealDistribution(p)
 
 

@@ -18,6 +18,7 @@ import sys
 import tempfile
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -322,6 +323,59 @@ class TestStabilityCommand:
         assert code == EXIT_VALIDATION
 
 
+# Keys and strings: non-ASCII (a lone surrogate and an astral character
+# included), quotes, backslashes and control characters.
+json_text = st.text(st.one_of(
+    st.sampled_from('"\\/\x00\x1f\x7f\n\t\u00e9\u2028\ud800\U0001f600'),
+    st.characters()), max_size=6)
+json_floats = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300,
+                     np.float64(0.1)]),
+    st.floats())
+json_scalars = st.one_of(
+    json_text, st.none(), st.booleans(), json_floats,
+    st.sampled_from([2 ** 63, -2 ** 63 - 1, 2 ** 64 + 1]), st.integers())
+json_cells = st.one_of(json_scalars, st.lists(json_floats, max_size=2))
+
+
+class TestJsonTable:
+    """The table writer has the bytes of ``json.dumps(rows, indent=2)``."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(rows=st.lists(st.dictionaries(json_text, json_cells, max_size=5),
+                         max_size=3))
+    @example(rows=[])
+    @example(rows=[{}])
+    @example(rows=[{"order": [], "norm": [0.5, -0.0], "error": None}, {}])
+    def test_bytes_of_json_dumps(self, rows):
+        assert cli._json_table(rows) == json.dumps(rows, indent=2) + "\n"
+
+    def test_a_nested_row_is_a_type_error(self):
+        with pytest.raises(TypeError):
+            cli._json_table([{"rows": [[0.5]]}])
+
+    @pytest.mark.parametrize("basis", ["idempotent", "unit-k"])
+    def test_stability_rows(self, basis, capsys):
+        # N = 1 is a BadDelta row, whose values are NaN.
+        assert main(["stability", "--family", "CertaintySpread", "--family",
+                     "UniformSpike", "--N-grid", "1,1e4", "--delta-grid",
+                     "0.1", "--measure", "renyi_hyp", "--measure", "shannon",
+                     "--order", "0.5,2", "--format", "json",
+                     "--basis", basis]) == EXIT_OK
+        out = capsys.readouterr().out
+        rows = json.loads(out)
+        assert [r["error"] for r in rows] == ["BadDelta", None] * 4
+        assert math.isnan(rows[0]["norm"][0])
+        assert out == json.dumps(rows, indent=2) + "\n"
+
+    def test_entropy_rows(self, hyp_path, capsys):
+        assert main(["entropy", "--input", hyp_path, "--measure",
+                     "strong_shannon_hyp", "--measure", "renyi_hyp",
+                     "--order", "0.5,2", "--format", "json"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
 def _assert_shannon_closed_form(row: dict, n: int, delta: float) -> None:
     """A Shannon sweep row of an analytic family at (n, delta) against the
     family's L1 distance and entropy gap, in closed form."""
@@ -399,6 +453,13 @@ class TestMalformedInput:
         ("open-quote-cell.csv", 'p\n0.5\n"0.5\n'),
         ("open-quote-ignored-column.csv", 'p\n0.5\n0.5,"x\n'),
         ("open-quote-hyperbolic-cell.csv", 'p1,p2\n0.5,0.5\n0.5,"0.5\n'),
+        ("fullwidth.csv", "p\n\uff10.\uff15\n0.5\n"),
+        ("fullwidth.json", '["\uff10.\uff15", 0.5]'),
+        ("fullwidth-escaped.json", '["\\uff10.5", 0.5]'),
+        ("fullwidth-hyperbolic.json",
+         '{"rho": [["\uff10.\uff15", 0.5], [0.5, 0.5]]}'),
+        ("no-break-space.json", '["\u00a00.5", 0.5]'),
+        ("no-break-space.csv", 'p\n"\u00a00.5"\n0.5\n'),
     ], ids=["truncated-json", "json-without-rho", "non-numeric-csv-cell",
             "deeply-nested-json", "null-in-real-json", "nested-real-json",
             "bool-in-real-json", "bool-in-hyperbolic-json",
@@ -407,15 +468,33 @@ class TestMalformedInput:
             "space-inside-header-name", "line-past-csv-field-limit",
             "unterminated-quote-in-cell",
             "unterminated-quote-in-ignored-column",
-            "unterminated-quote-in-hyperbolic-cell"])
+            "unterminated-quote-in-hyperbolic-cell",
+            "non-ascii-digits-in-csv", "non-ascii-digits-in-real-json",
+            "escaped-non-ascii-digit-in-real-json",
+            "non-ascii-digits-in-hyperbolic-json",
+            "non-ascii-space-in-real-json", "non-ascii-space-in-csv"])
     def test_bad_file_exits_2(self, name, text, tmp_path, capsys):
         path = tmp_path / name
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
         code = main(["entropy", "--input", str(path), "--measure", "shannon"])
         assert code == EXIT_VALIDATION
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ParseError: ")
+
+    @pytest.mark.parametrize("name, text", [
+        ("note.json",
+         '{"note": "\u00e9", "rho": [["0.5", 0.25], ["\\u0030.5", 0.75]]}'),
+        ("note.csv", "p1,p2\n0.5,0.25,\u00e9\n0.5,0.75\n"),
+    ])
+    def test_non_ascii_text_outside_the_cells_is_read(self, name, text,
+                                                       tmp_path, capsys):
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        assert main(["entropy", "--input", str(path),
+                     "--measure", "strong_shannon_hyp"]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[1].startswith(
+            "strong_shannon_hyp,,,0.69314718055994529,")
 
     def test_bad_order_exits_2_on_entropy(self, tmp_path, capsys):
         # --order is parsed even when no selected measure takes an order.
@@ -636,6 +715,32 @@ class TestVerifyCommand:
             monkeypatch.setattr(module, name, wrong)
         failed = {r.name for r in verify.run_invariants(0) if not r.passed}
         assert invariant in failed
+
+    @pytest.mark.parametrize("modules, name, scale, invariants", [
+        ((measures,), "_generating_sums",
+         lambda sums: {t: s * (1.0 + 1e-6) for t, s in sums.items()},
+         {"generating-rewrite"}),
+        ((calculus, measures), "hyp_limit",
+         lambda value: value * embed_real(1.0 + 1e-6),
+         {"generating-rewrite", "renyi-limit-equivalence"}),
+        ((measures,), "_power_sums",
+         lambda sums: lambda a: tuple(s * (1.0 + 1e-6) for s in sums(a)),
+         {"renyi-limit-equivalence"}),
+    ], ids=["_generating_sums", "hyp_limit", "_power_sums"])
+    def test_limit_layer_off_by_1e_6_fails_its_invariants(
+            self, monkeypatch, modules, name, scale, invariants):
+        # These layers return a dict, a HyperbolicNumber and a function of
+        # the order, so each row scales its own kind of value by 1 + 1e-6;
+        # a crash on the wrong type would fail the invariant for nothing.
+        exact = getattr(modules[0], name)
+        for module in modules:
+            monkeypatch.setattr(module, name,
+                                lambda *args: scale(exact(*args)))
+        details = {r.name: r.detail for r in verify.run_invariants(0)
+                   if not r.passed}
+        assert invariants <= details.keys()
+        for invariant in invariants:
+            assert not details[invariant].startswith("TypeError")
 
     def test_one_result_per_check_in_table_order(self):
         extra = [("extra-holds", lambda seed: None),

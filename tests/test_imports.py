@@ -2,7 +2,8 @@
 module's private name, so each decision stays behind the module that owns
 it (the family table behind ``distributions``, the kernels behind
 ``measures``); only ``Measure.of`` calls a registry kernel, and only
-``runs`` calls ``Runs.dense``; and no function, class or method of the
+``runs`` calls ``Runs.dense``; no JSON is written with json's indent;
+and no function, class or method of the
 package goes unnamed by the code, tests, demos and benchmark around it."""
 
 from __future__ import annotations
@@ -116,6 +117,40 @@ def test_the_check_sees_a_dense_call(tmp_path):
     assert _dense_calls(path) == [
         "module.py:2: P.p.dense()",
         "module.py:4: f(P).dense()",
+    ]
+
+
+def _indented_dumps(path: pathlib.Path) -> list[str]:
+    """``json.dumps`` or ``json.dump`` calls with an ``indent`` in one source
+    file.  With an indent, json runs its pure-Python encoder, so the tables
+    have one writer, ``cli._json_table``, with the same bytes."""
+    calls = [node for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "attr", getattr(node.func, "id", None))
+             in ("dumps", "dump")
+             and any(k.arg == "indent" for k in node.keywords)]
+    return [f"{path.name}:{node.lineno}: {ast.unparse(node.func)}(...)"
+            for node in sorted(calls, key=lambda node: node.lineno)]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_json_dumps_takes_an_indent(path):
+    assert _indented_dumps(path) == []
+
+
+def test_the_check_sees_an_indented_dumps(tmp_path):
+    path = tmp_path / "module.py"
+    path.write_text("import json\nfrom json import dump, dumps\n"
+                    "a = json.dumps(rows, indent=2) + '\\n'\n"
+                    "b = json.dumps(rows)\n"
+                    "c = dumps(rows, sort_keys=True, indent=None)\n"
+                    "dump(rows, fh, indent=4)\n"
+                    "d = loads(text, indent=2)\n")
+    assert _indented_dumps(path) == [
+        "module.py:3: json.dumps(...)",
+        "module.py:5: dumps(...)",
+        "module.py:6: dump(...)",
     ]
 
 

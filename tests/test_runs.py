@@ -49,6 +49,22 @@ class TestRunSum:
             want = np.repeat(v, c).sum()
         assert _bits(run_sum(v, c)) == _bits(want)
 
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(runs=st.lists(
+        st.tuples(values, st.one_of(
+            st.integers(0, 20),
+            # Ends next to a multiple of 8 or of the 128-element block.
+            st.sampled_from([7, 8, 9, 119, 120, 121, 127, 128, 129]))),
+        min_size=8, max_size=40))
+    def test_bits_of_blocks_across_many_runs(self, runs):
+        # Short runs put many run boundaries inside one block, so the
+        # accumulators and tails of a block are of several runs each.
+        v, c = (list(t) for t in zip(*runs))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            want = np.repeat(v, c).sum()
+        assert _bits(run_sum(v, c)) == _bits(want)
+
     @pytest.mark.parametrize("n", [2, 10 ** 6, 10 ** 12, 10 ** 20, 10 ** 300])
     def test_one_run_of_n_copies(self, n):
         # The tree is about 1,000 levels deep at 1e300, with no recursion.
