@@ -231,12 +231,16 @@ def _records_to_json(records: Sequence[StabilityRecord], basis: str) -> str:
 
 
 def _integral(token: str) -> int:
-    """An integer token, or a float one of integral value such as ``1e5``."""
+    """An integer token, or a finite float one of integral value such as
+    ``1e5``, read exactly: ``1e23`` is 10**23, not the float nearest it."""
     try:
         return int(token)
     except ValueError:
-        value = float(token)
-        if not value.is_integer():
+        if not math.isfinite(float(token)):
+            raise
+        from decimal import Decimal
+        value = Decimal(token)
+        if value != value.to_integral_value():
             raise
         return int(value)
 
@@ -321,66 +325,93 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if ok else EXIT_INVARIANT
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _add_output(p: argparse.ArgumentParser, table: bool = False) -> None:
+    p.add_argument("--output", default=None,
+                   help="output path (default: standard output)")
+    if table:
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        p.add_argument("--basis", choices=("idempotent", "unit-k"),
+                       default="idempotent",
+                       help="display basis for hyperbolic values")
+
+
+def _entropy_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--input", required=True)
+    p.add_argument("--measure", action="append", required=True,
+                   choices=sorted(measures.MEASURES))
+    p.add_argument("--order", default=None,
+                   help='order as "a1,a2" or a single real meaning a*1_D')
+    _add_output(p, table=True)
+    p.set_defaults(func=cmd_entropy)
+
+
+def _stability_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--family", action="append", required=True,
+                   choices=dist.FAMILIES)
+    p.add_argument("--N-grid", dest="n_grid", required=True,
+                   help="comma-separated state counts")
+    p.add_argument("--delta-grid", dest="delta_grid", required=True,
+                   help="comma-separated perturbation sizes")
+    p.add_argument("--measure", action="append", required=True,
+                   choices=[name for name, m in measures.MEASURES.items()
+                            if m.kernel])
+    p.add_argument("--order", default=None)
+    _add_output(p, table=True)
+    p.add_argument("--seed", type=int, default=0)
+    p.set_defaults(func=cmd_stability)
+
+
+def _limits_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--input", required=True)
+    _add_output(p)
+    p.add_argument("--tol", type=float, default=1e-6)
+    p.set_defaults(func=cmd_limits)
+
+
+def _verify_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--input", default=None,
+                   help="optional distribution fixture to validate")
+    _add_output(p)
+    p.add_argument("--seed", type=int, default=0)
+    p.set_defaults(func=cmd_verify)
+
+
+# name -> (help, flags) of each subcommand, in the order help lists them.
+_COMMANDS = {
+    "entropy": ("compute measures of a distribution", _entropy_flags),
+    "stability": ("run a Lesche-stability sweep", _stability_flags),
+    "limits": ("order -> 1_D convergence and L'Hopital check", _limits_flags),
+    "verify": ("run the invariant suite", _verify_flags),
+}
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The CLI's parser: with ``command`` one of the subcommands, the
+    top-level parser and that subcommand's parser alone; else all four."""
     parser = argparse.ArgumentParser(
         prog="hypentropy",
         description="Hyperbolic entropy measures and Lesche-stability experiments.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_output(p: argparse.ArgumentParser, table: bool = False) -> None:
-        p.add_argument("--output", default=None,
-                       help="output path (default: standard output)")
-        if table:
-            p.add_argument("--format", choices=("csv", "json"), default="csv")
-            p.add_argument("--basis", choices=("idempotent", "unit-k"),
-                           default="idempotent",
-                           help="display basis for hyperbolic values")
-
-    p_entropy = sub.add_parser("entropy", help="compute measures of a distribution")
-    p_entropy.add_argument("--input", required=True)
-    p_entropy.add_argument("--measure", action="append", required=True,
-                           choices=sorted(measures.MEASURES))
-    p_entropy.add_argument("--order", default=None,
-                           help='order as "a1,a2" or a single real meaning a*1_D')
-    add_output(p_entropy, table=True)
-    p_entropy.set_defaults(func=cmd_entropy)
-
-    p_stab = sub.add_parser("stability", help="run a Lesche-stability sweep")
-    p_stab.add_argument("--family", action="append", required=True,
-                        choices=dist.FAMILIES)
-    p_stab.add_argument("--N-grid", dest="n_grid", required=True,
-                        help="comma-separated state counts")
-    p_stab.add_argument("--delta-grid", dest="delta_grid", required=True,
-                        help="comma-separated perturbation sizes")
-    p_stab.add_argument("--measure", action="append", required=True,
-                        choices=[name for name, m in measures.MEASURES.items()
-                                 if m.kernel])
-    p_stab.add_argument("--order", default=None)
-    add_output(p_stab, table=True)
-    p_stab.add_argument("--seed", type=int, default=0)
-    p_stab.set_defaults(func=cmd_stability)
-
-    p_lim = sub.add_parser("limits",
-                           help="order -> 1_D convergence and L'Hopital check")
-    p_lim.add_argument("--input", required=True)
-    add_output(p_lim)
-    p_lim.add_argument("--tol", type=float, default=1e-6)
-    p_lim.set_defaults(func=cmd_limits)
-
-    p_ver = sub.add_parser("verify", help="run the invariant suite")
-    p_ver.add_argument("--input", default=None,
-                       help="optional distribution fixture to validate")
-    add_output(p_ver)
-    p_ver.add_argument("--seed", type=int, default=0)
-    p_ver.set_defaults(func=cmd_verify)
-
+    if command in _COMMANDS:
+        # The usage line still lists all four names.  Only the full parser
+        # names the command argument in an error ("invalid choice",
+        # "required"), and a metavar would rename it there, so it has none.
+        sub = parser.add_subparsers(dest="command", required=True,
+                                    metavar="{" + ",".join(_COMMANDS) + "}")
+        names = [command]
+    else:
+        sub = parser.add_subparsers(dest="command", required=True)
+        names = _COMMANDS
+    for name in names:
+        help_text, add_flags = _COMMANDS[name]
+        add_flags(sub.add_parser(name, help=help_text))
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except NonConvergent as exc:

@@ -302,6 +302,18 @@ class TestStabilityCommand:
         assert (row["N"], row["error"]) == (str(10**20), "")
         _assert_shannon_closed_form(row, 10**20, 0.1)
 
+    def test_n_grid_float_token_is_read_exactly(self, capsys):
+        # The float nearest 1e23 is 99999999999999991611392; the sweep runs
+        # and prints N = 10**23, as for the integer token.
+        flags = ["stability", "--family", "UniformSpike", "--delta-grid",
+                 "0.1", "--measure", "shannon", "--N-grid"]
+        assert main(flags + [str(10**23)]) == EXIT_OK
+        plain = capsys.readouterr().out
+        assert main(flags + ["1e23"]) == EXIT_OK
+        assert capsys.readouterr().out == plain
+        (row,) = csv.DictReader(io.StringIO(plain))
+        assert row["N"] == str(10**23)
+
     def test_n_past_the_float_range_is_an_error_row(self, capsys):
         n = "1" + "0" * 400
         code = main(["stability", "--family", "CertaintySpread", "--family",
@@ -408,8 +420,9 @@ class TestMalformedInput:
         ["--N-grid", "10,inf", "--delta-grid", "0.01", "--order", "2"],
         ["--N-grid", "nan", "--delta-grid", "0.01", "--order", "2"],
         ["--N-grid", "1e400", "--delta-grid", "0.01", "--order", "2"],
+        ["--N-grid", "1e-400", "--delta-grid", "0.01", "--order", "2"],
     ], ids=["order", "n-grid", "delta-grid", "n-grid-fraction", "n-grid-inf",
-            "n-grid-nan", "n-grid-overflow"])
+            "n-grid-nan", "n-grid-overflow", "n-grid-underflow"])
     def test_bad_flag_exits_2(self, flags, capsys):
         assert main(self.SWEEP + flags) == EXIT_VALIDATION
         captured = capsys.readouterr()
@@ -519,17 +532,20 @@ class TestMalformedInput:
 
 
 def test_import_builds_no_jump_matrix():
-    # The jump matrices are built on the first block draw, not at start-up.
-    code = ("import hypentropy.cli\n"
+    # The jump matrices are built on the first block draw, not at start-up,
+    # and the invariant suite is not executed (so not compiled) either.
+    code = ("import sys\n"
+            "import hypentropy.cli\n"
             "from hypentropy import rng\n"
             "hypentropy.cli.build_parser()\n"
-            "print(rng._jump_matrix.cache_info().currsize)\n")
+            "print(rng._jump_matrix.cache_info().currsize)\n"
+            "print(type(sys.modules['hypentropy.verify']).__name__)\n")
     root = pathlib.Path(__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "0\n"
+    assert proc.stdout == "0\n_LazyModule\n"
 
 
 class TestMalformedCaseFullInput:
@@ -1031,6 +1047,114 @@ class TestFlagsPerCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "unrecognized arguments" in captured.err
+
+
+def _outcome(call, argv, capsys) -> tuple:
+    """What ``call(argv)`` returns, or the code it exits with, and what it
+    prints."""
+    try:
+        result = call(argv)
+    except SystemExit as exc:
+        result = ("exit", exc.code)
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+class TestOneSubcommandParser:
+    """``main`` builds the invoked subcommand's parser alone, and a call
+    parses, prints and exits as it does with all four built."""
+
+    # "{real}" stands for a real distribution file.
+    CORPUS = {
+        "no-args": [],
+        "help": ["-h"],
+        "long-help": ["--help"],
+        "bogus": ["bogus"],
+        "prefix": ["stab"],
+        "flag-first": ["--bogus", "stability"],
+        "entropy-help": ["entropy", "-h"],
+        "stability-help": ["stability", "-h"],
+        "limits-help": ["limits", "-h"],
+        "verify-help": ["verify", "-h"],
+        "extra-arg": ["stability", "extra_arg"],
+        "verify-extra-arg": ["verify", "extra_arg"],
+        "second-command": ["stability", "verify"],
+        "unknown-flag": ["entropy", "--bogus"],
+        "other-command-flag": ["limits", "--format", "json",
+                               "--input", "{real}"],
+        "bad-choice": ["entropy", "--input", "{real}", "--measure", "nope"],
+        "bad-int": ["verify", "--seed", "x"],
+        "bad-float": ["limits", "--tol", "x", "--input", "{real}"],
+        "missing-value": ["verify", "--seed"],
+        "missing-required": ["stability", "--family", "CertaintySpread"],
+        "entropy": ["entropy", "--input", "{real}", "--measure", "shannon",
+                    "--measure", "renyi", "--order", "2"],
+        "stability": ["stability", "--family", "UniformSpike", "--N-grid",
+                      "10,1e3", "--delta-grid", "0.1", "--measure", "shannon",
+                      "--format", "json"],
+        "limits": ["limits", "--input", "{real}", "--tol", "1e-3"],
+        "verify": ["verify", "--seed", "3", "--input", "{real}"],
+    }
+
+    @pytest.mark.parametrize("name", CORPUS)
+    def test_same_outcome_as_the_full_parser(self, name, real_path, capsys,
+                                             monkeypatch):
+        argv = [real_path if a == "{real}" else a for a in self.CORPUS[name]]
+
+        def parse_one(argv):
+            return build_parser(argv[0] if argv else None).parse_args(argv)
+
+        # An equal Namespace, or the same exit code, help and error text.
+        assert _outcome(parse_one, argv, capsys) \
+            == _outcome(build_parser().parse_args, argv, capsys)
+        one = _outcome(main, argv, capsys)
+        monkeypatch.setattr(cli, "build_parser",
+                            lambda command=None: build_parser())
+        assert one == _outcome(main, argv, capsys)
+
+    @pytest.mark.parametrize("argv, last_line", [
+        ([], "error: the following arguments are required: command"),
+        (["bogus"], "error: argument command: invalid choice: 'bogus' "
+                    "(choose from 'entropy', 'stability', 'limits', 'verify')"),
+        (["stab"], "error: argument command: invalid choice: 'stab' "
+                   "(choose from 'entropy', 'stability', 'limits', 'verify')"),
+        (["verify", "extra_arg"], "error: unrecognized arguments: extra_arg"),
+    ], ids=["no-args", "bogus", "prefix", "extra-arg"])
+    def test_top_level_errors(self, argv, last_line, capsys):
+        # Pinned text, not only equal to the full parser's: the command
+        # argument is named "command", and every usage line lists all four.
+        (result, out, err) = _outcome(main, argv, capsys)
+        assert (result, out) == (("exit", EXIT_VALIDATION), "")
+        assert err == ("usage: hypentropy [-h] "
+                       "{entropy,stability,limits,verify} ...\n"
+                       f"hypentropy: {last_line}\n")
+
+    @pytest.mark.parametrize("argv", [[], ["stability", "--family",
+                                           "UniformSpike", "--N-grid", "10",
+                                           "--delta-grid", "0.1",
+                                           "--measure", "shannon"]],
+                             ids=["no-args", "stability"])
+    def test_argv_defaults_to_the_command_line(self, argv, capsys,
+                                               monkeypatch):
+        given = _outcome(main, argv, capsys)
+        monkeypatch.setattr(sys, "argv", ["hypentropy", *argv])
+        assert _outcome(lambda _: main(), None, capsys) == given
+
+    def test_a_call_builds_one_subparser(self, tmp_path, monkeypatch):
+        built = []
+        add_parser = argparse._SubParsersAction.add_parser
+
+        def counting(self, name, **kwargs):
+            built.append(name)
+            return add_parser(self, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+        assert main(["verify", "--seed", "0", "--output",
+                     str(tmp_path / "out")]) == EXIT_OK
+        assert built == ["verify"]
+        built.clear()
+        build_parser()
+        assert built == ["entropy", "stability", "limits", "verify"]
 
 
 def _mostly(good: st.SearchStrategy, bad: list) -> st.SearchStrategy:

@@ -3,6 +3,7 @@ module's private name, so each decision stays behind the module that owns
 it (the family table behind ``distributions``, the kernels behind
 ``measures``); only ``Measure.of`` calls a registry kernel, and only
 ``runs`` calls ``Runs.dense``; no JSON is written with json's indent;
+the CLI builds no parser at import and caches none across calls;
 and no function, class or method of the
 package goes unnamed by the code, tests, demos and benchmark around it."""
 
@@ -151,6 +152,62 @@ def test_the_check_sees_an_indented_dumps(tmp_path):
         "module.py:3: json.dumps(...)",
         "module.py:5: dumps(...)",
         "module.py:6: dump(...)",
+    ]
+
+
+def _run_at_import(node: ast.AST):
+    """``node`` and the nodes under it that run when their module is
+    imported: all but the bodies of functions and lambdas."""
+    yield node
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        children = [*node.decorator_list, node.args]
+    elif isinstance(node, ast.Lambda):
+        children = [node.args]
+    else:
+        children = list(ast.iter_child_nodes(node))
+    for child in children:
+        yield from _run_at_import(child)
+
+
+def _parser_built_at_import(path: pathlib.Path) -> list[str]:
+    """Decorators of ``build_parser``, and calls of ``build_parser`` or
+    ``ArgumentParser`` that run at import, in one source file.  A CLI
+    process parses one command line, so a parser built at import or kept
+    across ``main()`` calls is only start-up cost."""
+    tree = ast.parse(path.read_text(), str(path))
+    found = [f"{path.name}:{d.lineno}: @{ast.unparse(d)} on build_parser"
+             for node in tree.body
+             if isinstance(node, ast.FunctionDef) and node.name == "build_parser"
+             for d in node.decorator_list]
+    calls = [node for top in tree.body for node in _run_at_import(top)
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "attr", getattr(node.func, "id", None))
+             in ("build_parser", "ArgumentParser")]
+    return found + [f"{path.name}:{node.lineno}: {ast.unparse(node.func)}(...)"
+                    for node in sorted(calls, key=lambda node: node.lineno)]
+
+
+def test_the_cli_builds_its_parser_per_call():
+    assert _parser_built_at_import(SRC / "cli.py") == []
+
+
+def test_the_check_sees_a_parser_built_at_import(tmp_path):
+    path = tmp_path / "cli.py"
+    path.write_text("import argparse, functools\n"
+                    "@functools.lru_cache\n"
+                    "def build_parser():\n"
+                    "    return argparse.ArgumentParser()\n"
+                    "PARSER = build_parser()\n"
+                    "def main(argv=None, parser=argparse.ArgumentParser()):\n"
+                    "    return build_parser().parse_args(argv)\n"
+                    "class Cli:\n"
+                    "    parser = build_parser()\n"
+                    "    parse = lambda self: build_parser()\n")
+    assert _parser_built_at_import(path) == [
+        "cli.py:2: @functools.lru_cache on build_parser",
+        "cli.py:5: build_parser(...)",
+        "cli.py:6: argparse.ArgumentParser(...)",
+        "cli.py:9: build_parser(...)",
     ]
 
 
