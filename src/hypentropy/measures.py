@@ -20,7 +20,6 @@ run values, with the bits of the dense array.
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -388,18 +387,39 @@ def strong_shannon_hyp(B: HyperbolicDistribution) -> HyperbolicNumber:
     return evaluate("strong_shannon_hyp", B)
 
 
-def _generating_sums(p: np.ndarray, points: list[float]) -> dict[float, float]:
-    """sum p**(-t) at each t of points, keyed by t.
+# numpy raises an array to the Python float 2, 0.5 or -1 as square, sqrt or
+# reciprocal, whose bits the power loop of an array exponent can miss.
+_SCALAR_POWERS = (2.0, 0.5, -1.0)
 
-    The sums are the row sums of p ** e[rows, None] for the exponents e = -t,
-    at most ``_STENCIL_CHUNK`` elements per power pass; each row sum has the
-    bits of ``(p ** (-t)).sum()``.
+
+def _power_sums(p: np.ndarray, exponents: Sequence[float],
+                with_log: bool = False) -> dict[float, tuple]:
+    """(sum p**e,) at each e of exponents, keyed by e, or with ``with_log``
+    (sum p**e, sum p**e ln p): the one power-sum layer of both limit routes.
+
+    Each distinct e is raised once: the sums are the row sums of
+    p ** e[rows, None], at most ``_STENCIL_CHUNK`` elements per power pass,
+    and the log sums those of the same rows times ln p, taken once and
+    multiplied in place.  Each sum has the bits of ``(p ** e).sum()`` or of
+    ``(p ** e * np.log(p)).sum()``.
     """
-    e = -np.array(points)
+    # Not np.unique: its first call imports numpy.ma, 1.6 MB of peak RSS.
+    e = np.array(sorted(set(exponents)))
     rows = max(1, _STENCIL_CHUNK // p.size)
-    sums = np.concatenate([(p ** e[i:i + rows, None]).sum(axis=1)
-                           for i in range(0, e.size, rows)])
-    return dict(zip(points, sums.tolist()))
+    log_p = np.log(p) if with_log else None
+    power, logged = [], []
+    for i in range(0, e.size, rows):
+        block = e[i:i + rows]
+        pa = p ** block[:, None]
+        for j, a in enumerate(block.tolist()):
+            if a in _SCALAR_POWERS:
+                pa[j] = p ** a
+        power.append(pa.sum(axis=1))
+        if with_log:
+            pa *= log_p
+            logged.append(pa.sum(axis=1))
+    columns = [np.concatenate(c).tolist() for c in (power, logged) if c]
+    return dict(zip(e.tolist(), zip(*columns)))
 
 
 def strong_shannon_via_generating(B: HyperbolicDistribution) -> HyperbolicNumber:
@@ -413,14 +433,14 @@ def strong_shannon_via_generating(B: HyperbolicDistribution) -> HyperbolicNumber
         raise ZeroComponent("generating-function route needs positive components")
     xi0 = embed_real(-1.0)
     # G is read from its values at every t where the finite differences at
-    # the limit's points evaluate it, taken per coordinate in batched passes.
+    # the limit's points evaluate it: sum p**(-t), per coordinate.
     visited = [xi for pair in limit_points(xi0) for xi in pair]
-    points1 = [t for xi in visited for t in fd_points(xi.x1)[1]]
-    points2 = [t for xi in visited for t in fd_points(xi.x2)[1]]
-    G = DifferentiableFunction(ComponentFunction(
-        _generating_sums(B.p1, points1).__getitem__,
-        _generating_sums(B.p2, points2).__getitem__,
-    ))
+    sums1 = _power_sums(B.p1, [-t for xi in visited
+                               for t in fd_points(xi.x1)[1]])
+    sums2 = _power_sums(B.p2, [-t for xi in visited
+                               for t in fd_points(xi.x2)[1]])
+    G = DifferentiableFunction(ComponentFunction(lambda t: sums1[-t][0],
+                                                 lambda t: sums2[-t][0]))
 
     def g_prime(xi: HyperbolicNumber) -> HyperbolicNumber:
         return hyp_derivative(G, xi)
@@ -459,31 +479,22 @@ def renyi_hyp_mixed(
     return _RENYI_MIXED.of("renyi_hyp_mixed", B.p1, B.p2, alpha, {})
 
 
-def _power_sums(p: np.ndarray) -> Callable[[float], tuple]:
-    """(sum p**a, sum p**a ln p) at order a, one power pass per order, with
-    ln p taken once.  They are the numpy sums of ``p ** a`` and of
-    ``p ** a * np.log(p)``, so what is built from them keeps its bits."""
-    log_p = np.log(p)
-
-    @functools.cache
-    def sums(a: float) -> tuple:
-        pa = p ** a
-        return pa.sum(), (pa * log_p).sum()
-
-    return sums
-
-
-def _log_power_sum_function(B: HyperbolicDistribution) -> DifferentiableFunction:
+def _log_power_sum_function(B: HyperbolicDistribution,
+                            orders: Sequence[HyperbolicNumber]
+                            ) -> DifferentiableFunction:
     """F(alpha) = Log_D sum rho^alpha with its analytic derivative, both read
-    from each coordinate's power sums."""
-    sums1, sums2 = _power_sums(B.p1), _power_sums(B.p2)
+    from each coordinate's power sums, taken at once at the orders of the
+    limit at 1_D and at ``orders``."""
+    visited = [xi for pair in limit_points(ONE) for xi in pair] + list(orders)
+    sums1 = _power_sums(B.p1, [a.x1 for a in visited], with_log=True)
+    sums2 = _power_sums(B.p2, [a.x2 for a in visited], with_log=True)
 
-    def f(sums: Callable, a: float) -> float:
-        return _log_total(sums(a)[0])
+    def f(sums: dict, a: float) -> float:
+        return _log_total(sums[a][0])
 
-    def fprime(sums: Callable, a: float) -> float:
-        pa_sum, pa_log_sum = sums(a)
-        return float(pa_log_sum / pa_sum)
+    def fprime(sums: dict, a: float) -> float:
+        pa_sum, pa_log_sum = sums[a]
+        return pa_log_sum / pa_sum
 
     return DifferentiableFunction(
         ComponentFunction(lambda a: f(sums1, a), lambda a: f(sums2, a)),
@@ -506,15 +517,18 @@ def renyi_hyp_limit_table(
 ) -> RenyiLimit:
     """``renyi_hyp_limit`` of B, and ``renyi_hyp`` of B at each of ``orders``.
 
-    The table is read from the limit's power sums, so an order that the
-    limit visits too is raised to once per coordinate; each table value has
-    the bits of ``renyi_hyp``.
+    The table is read from the limit's power sums, taken in the same passes
+    after every order has passed its domain check, so each coordinate raises
+    p to each distinct order once; each table value has the bits of
+    ``renyi_hyp``.
     """
     _require_full(B, "renyi_hyp_limit")
     if np.any(B.p1 <= 0.0) or np.any(B.p2 <= 0.0):
         raise ZeroComponent("limit route needs positive components")
+    for alpha in orders:
+        _check_renyi_hyp_order(alpha)
 
-    F = _log_power_sum_function(B)
+    F = _log_power_sum_function(B, orders)
     G = DifferentiableFunction(
         ComponentFunction.symmetric(lambda a: 1.0 - a),
         ComponentFunction.symmetric(lambda a: -1.0),
@@ -533,7 +547,6 @@ def renyi_hyp_limit_table(
 
     table = []
     for alpha in orders:
-        _check_renyi_hyp_order(alpha)
         v = F(alpha)
         table.append(MEASURES["renyi_hyp"].value(
             v.x1 / (1.0 - alpha.x1), v.x2 / (1.0 - alpha.x2)))

@@ -49,13 +49,17 @@ def random_full(rng: np.random.Generator, n: int) -> HyperbolicDistribution:
 
 
 class CountingArray(np.ndarray):
-    """An array that counts the ufunc calls it takes part in, by name."""
+    """An array that counts the ufunc calls it takes part in, by name, and
+    lists the exponents it is raised to, one per row of a power pass."""
 
     calls: dict = {}
+    exponents: list = []
 
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
         CountingArray.calls[ufunc.__name__] = \
             CountingArray.calls.get(ufunc.__name__, 0) + 1
+        if ufunc is np.power:
+            CountingArray.exponents += np.ravel(inputs[1]).tolist()
         plain = tuple(np.asarray(x) for x in inputs)
         return getattr(ufunc, method)(*plain, **kwargs)
 

@@ -314,6 +314,29 @@ class TestBlockProbeMatchesPerSampleOracle:
         assert all(type(x) is float for x in calls)
 
 
+class TestPooledProbeDraws:
+    # The probe draws four 1024-sample blocks per randoms call.
+    @pytest.mark.parametrize("samples", [4095, 4096, 4097])
+    @pytest.mark.parametrize("name", ["affine-exact", "log"])
+    def test_same_repr_across_a_pool_edge(self, name, samples):
+        F, (lo, hi), seed, max_witnesses, slack = PROBE_CASES[name]
+        box = HyperbolicInterval(embed_real(lo), embed_real(hi))
+        got = concavity_probe(F, samples=samples, seed=seed, slack=slack,
+                              domain=box, max_witnesses=max_witnesses)
+        want = _probe_oracle(F, samples, seed, box, max_witnesses, slack)
+        assert repr(got) == repr(want)
+
+    def test_early_exit_in_the_second_pool(self):
+        # Every sample of MIXED is a witness of both kinds, so 4100 of each
+        # fill at sample 4100, in the first block of the second pool.
+        box = HyperbolicInterval(embed_real(0.1), ONE)
+        got = concavity_probe(MIXED, samples=3 * 4096, seed=3, domain=box,
+                              max_witnesses=4100)
+        want = _probe_oracle(MIXED, 3 * 4096, 3, box, 4100)
+        assert len(got.convex_witnesses) == 4100
+        assert repr(got) == repr(want)
+
+
 class TestBasisViews:
     def test_cr_uses_unit_basis(self):
         # F(xi) = k * xi has u(x, y) = y, v(x, y) = x, which satisfies the

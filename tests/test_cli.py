@@ -622,9 +622,9 @@ class TestLimitsCommand:
                                                       monkeypatch):
         # The table's orders 1 +- 1e-k, k = 3..6, are orders of the limit
         # too, so each coordinate is raised to the limit's 2 * 11 orders and
-        # to 1 +- 0.1 and 1 +- 0.01: 2 * 26 = 52 passes, where a table taken
-        # apart from the limit made 68.  The logs are ln p for the power sums and the one
-        # closed-form entropy, per coordinate.
+        # to 1 +- 0.1 and 1 +- 0.01: 2 * 26 = 52 exponent rows, where a table
+        # taken apart from the limit raised 68.  The logs are ln p for the
+        # power sums and the one closed-form entropy, per coordinate.
         load = cli._load_distribution
 
         def counted(path):
@@ -635,9 +635,10 @@ class TestLimitsCommand:
             return B
 
         monkeypatch.setattr(cli, "_load_distribution", counted)
-        CountingArray.calls = {}
+        CountingArray.calls, CountingArray.exponents = {}, []
         assert main(["limits", "--input", hyp_path]) == EXIT_OK
-        assert CountingArray.calls["power"] == 52
+        assert len(CountingArray.exponents) == 52
+        assert len(set(CountingArray.exponents)) == 26
         assert CountingArray.calls["log"] == 2 + 2
 
     @pytest.mark.parametrize("text, error", [
@@ -684,6 +685,35 @@ class TestVerifyCommand:
         monkeypatch.setattr(measures, "strong_extropy_hyp",
                             lambda B: exact(B) * embed_real(1.0 + 1e-10))
         assert check(sub_seed) is not None
+
+    def test_neg_xlogx_off_by_1e_6_fails_extropy_relations(self,
+                                                          monkeypatch):
+        # S and J share _neg_xlogx_sum, so an error in it moves both sides
+        # of the N = 2 clause alike; the binary-entropy reference sees it.
+        exact = measures._neg_xlogx_sum
+
+        def wrong(p):
+            return exact(p) * (1.0 + 1e-6)
+
+        monkeypatch.setattr(measures, "_neg_xlogx_sum", wrong)
+        entries = [name for name, entry in measures.MEASURES.items()
+                   if entry.kernel is exact]
+        assert entries == ["shannon", "strong_shannon_hyp"]
+        for name in entries:
+            monkeypatch.setitem(measures.MEASURES, name, dataclasses.replace(
+                measures.MEASURES[name], kernel=wrong))
+        failed = {r.name for r in verify.run_invariants(0) if not r.passed}
+        assert "extropy-relations" in failed
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_seed_passes_every_invariant(self, seed, capsys):
+        # A change to the fixture streams that breaks an invariant on some
+        # seed fails here, not only in a hand-run check of many seeds.
+        n = len(verify.INVARIANTS)
+        assert main(["verify", "--seed", str(seed)]) == EXIT_OK
+        assert capsys.readouterr().out == "".join(
+            f"PASS {name}\n" for name, _ in verify.INVARIANTS) + \
+            f"OK ({n}/{n} invariants)\n"
 
     @pytest.mark.parametrize("which", ["real", "lift", "both"])
     @pytest.mark.parametrize("kernel", [
@@ -733,25 +763,24 @@ class TestVerifyCommand:
         assert invariant in failed
 
     @pytest.mark.parametrize("modules, name, scale, invariants", [
-        ((measures,), "_generating_sums",
-         lambda sums: {t: s * (1.0 + 1e-6) for t, s in sums.items()},
-         {"generating-rewrite"}),
+        ((measures,), "_power_sums",
+         lambda sums: {e: tuple(s * (1.0 + 1e-6) for s in row)
+                       for e, row in sums.items()},
+         {"generating-rewrite", "renyi-limit-equivalence"}),
         ((calculus, measures), "hyp_limit",
          lambda value: value * embed_real(1.0 + 1e-6),
          {"generating-rewrite", "renyi-limit-equivalence"}),
-        ((measures,), "_power_sums",
-         lambda sums: lambda a: tuple(s * (1.0 + 1e-6) for s in sums(a)),
-         {"renyi-limit-equivalence"}),
-    ], ids=["_generating_sums", "hyp_limit", "_power_sums"])
+    ], ids=["_power_sums", "hyp_limit"])
     def test_limit_layer_off_by_1e_6_fails_its_invariants(
             self, monkeypatch, modules, name, scale, invariants):
-        # These layers return a dict, a HyperbolicNumber and a function of
-        # the order, so each row scales its own kind of value by 1 + 1e-6;
-        # a crash on the wrong type would fail the invariant for nothing.
+        # These layers return a dict of sums and a HyperbolicNumber, so each
+        # row scales its own kind of value by 1 + 1e-6; a crash on the wrong
+        # type would fail the invariant for nothing.  The power-sum layer
+        # serves both limit routes, so both must fail.
         exact = getattr(modules[0], name)
         for module in modules:
-            monkeypatch.setattr(module, name,
-                                lambda *args: scale(exact(*args)))
+            monkeypatch.setattr(module, name, lambda *args, **kwargs:
+                                scale(exact(*args, **kwargs)))
         details = {r.name: r.detail for r in verify.run_invariants(0)
                    if not r.passed}
         assert invariants <= details.keys()

@@ -560,14 +560,15 @@ class TestRenyiHypLimit:
 
     def test_one_power_pass_per_order_and_coordinate(self, rng):
         # F, F/G and F'/G' visit the same orders 1 +- t; each coordinate
-        # raises p to each order once (44 passes where the routes on their
-        # own take 132) and takes ln p once.
+        # raises p to each order once (44 exponent rows where the routes on
+        # their own take 132) and takes ln p once.
         B = random_full(rng, 50)
         for name in ("p1", "p2"):
             object.__setattr__(B, name, getattr(B, name).view(CountingArray))
-        CountingArray.calls = {}
+        CountingArray.calls, CountingArray.exponents = {}, []
         renyi_hyp_limit(B)
-        assert CountingArray.calls["power"] == 2 * 2 * len(LIMIT_STEPS)
+        orders = [1.0 + sign * t for t in LIMIT_STEPS for sign in (1.0, -1.0)]
+        assert sorted(CountingArray.exponents) == sorted(2 * orders)
         # Two more logs are the closed-form entropy's own.
         assert CountingArray.calls["log"] == 2 + 2
 
@@ -608,6 +609,52 @@ class TestRenyiHypLimit:
         monkeypatch.setattr(measures, "hyp_limit", counted)
         renyi_hyp_limit(fixture_b)
         assert calls == [ONE] * 4
+
+
+class TestPowerSums:
+    # Repeats, numpy's scalar-power exponents 2, 0.5 and -1, and the orders
+    # of both limit routes near 1 and -1.
+    EXPONENTS = [1.1, 0.5, 1.0 - 1e-9, 2.0, 1.1, -1.0, 0.5, -0.9999, 1.0 + 1e-3]
+
+    @pytest.mark.parametrize("n", [
+        1, 2, measures._STENCIL_CHUNK // 3, measures._STENCIL_CHUNK - 1,
+        measures._STENCIL_CHUNK, measures._STENCIL_CHUNK + 1])
+    def test_rows_have_the_bits_of_single_sums(self, rng, n):
+        # At _STENCIL_CHUNK // 3 a pass holds three rows, so the seven
+        # distinct exponents take three passes, the last one short.
+        p = rng.random(n) + 0.01
+        p /= p.sum()
+        sums = measures._power_sums(p, self.EXPONENTS)
+        logged = measures._power_sums(p, self.EXPONENTS, with_log=True)
+        assert len(sums) == len(logged) == len(set(self.EXPONENTS))
+        for e in self.EXPONENTS:
+            assert sums[e] == ((p ** e).sum(),)
+            assert logged[e] == ((p ** e).sum(), (p ** e * np.log(p)).sum())
+            assert all(type(v) is float for v in logged[e])
+
+    def test_scalar_power_exponents_keep_their_bits(self, rng):
+        # numpy takes p ** 2, p ** 0.5 and p ** -1 as square, sqrt and
+        # reciprocal, which miss its power loop's bits on some entries; the
+        # sum of a one-state array is its entry, so it shows every miss.
+        for x in rng.random(200):
+            p = np.array([x])
+            sums = measures._power_sums(p, self.EXPONENTS)
+            for e in (2.0, 0.5, -1.0):
+                assert sums[e] == ((p ** e).sum(),)
+
+    def test_table_checks_every_order_before_any_power_pass(self):
+        # p ** -5 of a 1e-300 entry overflows; the typed error comes first.
+        B = HyperbolicDistribution(np.array([1e-300, 1.0]),
+                                   np.array([0.5, 0.5]), Case.FULL)
+        for name in ("p1", "p2"):
+            object.__setattr__(B, name, getattr(B, name).view(CountingArray))
+        CountingArray.exponents = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonPositiveOrder):
+                measures.renyi_hyp_limit_table(
+                    B, [embed_real(1.1), HyperbolicNumber(-5.0, -5.0)])
+        assert CountingArray.exponents == []
 
 
 class TestHartleyCollisionHyp:

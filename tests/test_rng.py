@@ -21,7 +21,8 @@ from hypentropy import (
 )
 from hypentropy.distributions import perturbation_family
 from hypentropy.rng import Xoshiro256StarStar, derive_seed
-from hypentropy.verify import _READ_BLOCK, _BlockReader
+from hypentropy.verify import _READ_BLOCK, _BlockReader, _rand_hyps, \
+    _rand_probs
 
 MAX_SEED = 2**64 - 1
 
@@ -162,6 +163,33 @@ def test_block_reader_is_the_generator_draw_for_draw():
             used += k
     assert refilled_in == ["randint", "randoms", "randoms"]
     assert reader.next_u64() == plain.next_u64()
+
+
+@pytest.mark.parametrize("source", [Xoshiro256StarStar, _BlockReader])
+def test_fixture_sets_are_the_scalar_draws(source):
+    # One randoms call per fixture set gives the floats of the scalar
+    # uniform draws and of one randoms(n) per probability vector, through
+    # the block path (400 words), the scalar path (12 words) and a reader.
+    seed = derive_seed(5, "fixture-sets")
+    got, want = source(seed), Xoshiro256StarStar(seed)
+    ranges = [(-100.0, 100.0), (0.1, 50.0), (-3.0, 3.0), (0.11, 1.99)]
+    for k in (100, 3):
+        groups = _rand_hyps(got, k, *ranges)
+        assert len(groups) == k
+        for group in groups:
+            assert len(group) == 2
+            for h, (lo1, hi1), (lo2, hi2) in zip(group, ranges[0::2],
+                                                 ranges[1::2]):
+                assert type(h.x1) is float and type(h.x2) is float
+                assert (h.x1, h.x2) == (want.uniform(lo1, hi1),
+                                        want.uniform(lo2, hi2))
+    for n, k in [(1, 1), (2, 2), (7, 6), (9, 1), (300, 2)]:
+        rows = _rand_probs(got, n, k)
+        assert rows.shape == (k, n)
+        for row in rows:
+            g = -np.log(1.0 - want.randoms(n))
+            assert row.tobytes() == (g / g.sum()).tobytes()
+    assert got.next_u64() == want.next_u64()
 
 
 @pytest.mark.parametrize("seed", sorted(RANDOM_SMOOTH))
