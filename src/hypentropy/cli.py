@@ -303,15 +303,14 @@ def cmd_limits(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     extra = []
     if args.input is not None:
-        path = args.input
-
-        def _fixture_check(seed: int) -> Optional[str]:
-            try:
-                _load_distribution(path)
-            except HypentropyError as exc:
-                return f"{type(exc).__name__}: {exc}"
-
-        extra.append(("input-validates", _fixture_check))
+        # Read before the invariants run, so an OSError exits as an I/O
+        # failure; a malformed or invalid file is a failed check.
+        try:
+            _load_distribution(args.input)
+            detail = None
+        except HypentropyError as exc:
+            detail = f"{type(exc).__name__}: {exc}"
+        extra.append(("input-validates", lambda seed: detail))
     results = verify.run_invariants(args.seed, extra=extra)
     lines = []
     for res in results:

@@ -8,8 +8,10 @@ q != 1 admit adversarial pairs that push it toward 1 as N grows.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -27,6 +29,7 @@ from .errors import CaseMismatch, DegenerateN, HypentropyError, LengthMismatch
 from .hyperbolic import HyperbolicNumber, embed_real
 from .measures import MEASURES, pairwise_sum
 from .rng import derive_seed
+from .runs import Runs
 
 __all__ = [
     "StabilityRecord",
@@ -44,8 +47,26 @@ def _abs_diff(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.abs(diff, out=diff)
 
 
+def _common_runs(a: Runs, b: Runs) -> tuple[Runs, Runs]:
+    """``a`` and ``b`` as runs with one set of counts: each of their common
+    runs lies inside one run of ``a`` and one run of ``b``."""
+    ends = [list(itertools.accumulate(r.counts)) for r in (a, b)]
+    cuts = sorted(set(ends[0]).union(ends[1]) - {0})
+    counts = [hi - lo for lo, hi in zip([0, *cuts], cuts)]
+    return tuple(Runs(r.values[[bisect.bisect_left(e, c) for c in cuts]],
+                      counts) for r, e in zip((a, b), ends))
+
+
 def _l1(a: np.ndarray, b: np.ndarray) -> float:
-    """sum |a - b|, with the bits of one numpy sum of ``_abs_diff(a, b)``."""
+    """sum |a - b|, with the bits of one numpy sum of ``_abs_diff(a, b)``.
+
+    Two ``Runs`` are read on their common runs, and a ``Runs`` beside a
+    dense array as its dense array.
+    """
+    if isinstance(a, Runs) != isinstance(b, Runs):
+        a, b = np.asarray(a), np.asarray(b)
+    elif isinstance(a, Runs) and a.counts != b.counts:
+        a, b = _common_runs(a, b)
     return float(pairwise_sum(_abs_diff, a, b))
 
 
@@ -157,6 +178,15 @@ class SweepConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        # A numpy number would change the seeds, which hash each token's repr.
+        try:
+            fields = {"n_grid": tuple(map(operator.index, self.n_grid)),
+                      "delta_grid": tuple(map(float, self.delta_grid)),
+                      "seed": operator.index(self.seed)}
+        except (TypeError, ValueError) as exc:
+            raise HypentropyError(f"bad sweep grid or seed: {exc}") from None
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
         if not (self.families and self.n_grid and self.delta_grid
                 and self.measures):
             raise HypentropyError("sweep grids must be non-empty")

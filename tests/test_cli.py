@@ -743,11 +743,10 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("modules, name, invariant", [
         ((runs, measures), "run_sum", "perturbation-norm-bound"),
-        ((runs,), "_copies_sum", "perturbation-norm-bound"),
-        ((runs,), "_block_sum", "perturbation-norm-bound"),
+        ((runs,), "_leaf_sum", "perturbation-norm-bound"),
         ((stability,), "_l1", "perturbation-norm-bound"),
         ((calculus,), "_fd_derivative", "derivative-fd-agreement"),
-    ], ids=["run_sum", "_copies_sum", "_block_sum", "_l1", "_fd_derivative"])
+    ], ids=["run_sum", "_leaf_sum", "_l1", "_fd_derivative"])
     def test_layer_off_by_1e_6_fails_its_invariant(self, monkeypatch, modules,
                                                    name, invariant):
         # Each row is a layer made wrong by 1e-6 in every module that binds
@@ -827,6 +826,14 @@ class TestVerifyCommand:
         assert code == EXIT_INVARIANT
         assert "FAIL input-validates" in out
         assert "SumInvalid" in out
+
+    def test_missing_input_exits_1_before_the_invariants(self, tmp_path,
+                                                         capsys):
+        code = main(["verify", "--input", str(tmp_path / "missing.json")])
+        out, err = capsys.readouterr()
+        assert code == EXIT_IO
+        assert out == ""
+        assert err.startswith("error: ") and "missing.json" in err
 
 
 class TestExitCodeContract:

@@ -4,6 +4,7 @@ the dense one."""
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 
@@ -69,6 +70,18 @@ class TestRunSum:
     def test_one_run_of_n_copies(self, n):
         # The tree is about 1,000 levels deep at 1e300, with no recursion.
         assert run_sum([0.25], [n]) == pytest.approx(n / 4, rel=1e-12)
+
+    @pytest.mark.parametrize("v, c", [
+        ([1e307], [128]),  # a leaf that overflows
+        ([math.inf, -math.inf], [1, 1]),  # a leaf that meets inf and -inf
+    ], ids=["overflow", "inf-minus-inf"])
+    def test_leaf_overflow_and_nan_are_silent(self, v, c):
+        # Under the suite's warnings-as-errors, a warning fails this test.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            want = np.repeat(v, c).sum()
+        assert not math.isfinite(want)
+        assert _bits(run_sum(v, c)) == _bits(want)
 
     def test_empty_and_zero_counts(self):
         assert _bits(run_sum([], [])) == _bits(np.float64(0.0))
@@ -175,3 +188,19 @@ class TestKernelsOnRuns:
                     == repr(evaluate(name, dense, order)), name
         assert lesche_norm(runs, RealDistribution(Q)) \
             == lesche_norm(dense, RealDistribution(Q.dense()))
+
+
+class TestLescheNormOfMixedSides:
+    """``lesche_norm`` reads any two sides, runs or dense, with the same or
+    other counts, as their dense arrays, bit for bit."""
+
+    @pytest.mark.parametrize("n", [100, 70_001])
+    def test_every_combination_has_the_dense_bits(self, n):
+        P = _probabilities(1, [1, n - 1])
+        for counts in ([1, n - 1], [n // 3, 5, n - n // 3 - 5]):
+            Q = _probabilities(2, counts)
+            want = np.abs(P.dense() - Q.dense()).sum()
+            for a, b in itertools.product((P, P.dense()), (Q, Q.dense())):
+                for x, y in ((a, b), (b, a)):
+                    got = lesche_norm(RealDistribution(x), RealDistribution(y))
+                    assert _bits(got) == _bits(want), (type(x), type(y))

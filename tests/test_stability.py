@@ -232,6 +232,23 @@ class TestSweep:
                  r.n, r.delta) for r in records]
         assert keys == sorted(keys, key=lambda k: (k[0], k[1], k[2], k[3], k[4]))
 
+    def test_numpy_numbers_give_the_records_of_python_ones(self):
+        # Seeds hash each token's repr, which numpy 2 writes as np.int64(..).
+        def records(**grid):
+            return repr(stability_sweep(self.make_config(
+                families=("RandomSmooth", "CertaintySpread"), **grid)))
+
+        want = records(n_grid=[1000], delta_grid=[0.01], seed=3)
+        assert records(n_grid=np.array([1000]), delta_grid=np.array([0.01]),
+                       seed=np.int64(3)) == want
+
+    @pytest.mark.parametrize("grid", [{"n_grid": [1000.0]},
+                                      {"n_grid": [np.float64(1000)]},
+                                      {"seed": 3.0}, {"delta_grid": ["x"]}])
+    def test_non_integer_n_or_seed_or_bad_delta_is_a_typed_error(self, grid):
+        with pytest.raises(HypentropyError):
+            self.make_config(**grid)
+
     def test_error_rows_instead_of_abort(self):
         # Order 1_D puts renyi_hyp on the zero-divisor line: every cell for
         # that measure becomes an error row while shannon cells still compute.
