@@ -741,20 +741,30 @@ class TestVerifyCommand:
         failed = {r.name for r in verify.run_invariants(0) if not r.passed}
         assert "measure-factorization" in failed
 
-    @pytest.mark.parametrize("modules, name, invariant", [
-        ((runs, measures), "run_sum", "perturbation-norm-bound"),
-        ((runs,), "_leaf_sum", "perturbation-norm-bound"),
-        ((stability,), "_l1", "perturbation-norm-bound"),
-        ((calculus,), "_fd_derivative", "derivative-fd-agreement"),
-    ], ids=["run_sum", "_leaf_sum", "_l1", "_fd_derivative"])
+    @pytest.mark.parametrize("modules, name, only, invariant", [
+        ((runs, measures), "run_sum", None, "perturbation-norm-bound"),
+        ((runs,), "_leaf_sum", None, "perturbation-norm-bound"),
+        ((runs,), "_leaf_sum", lambda x, leaf: leaf[0] == leaf[-1],
+         "perturbation-norm-bound"),
+        ((runs,), "_leaf_sum", lambda x, leaf: leaf[0] != leaf[-1],
+         "perturbation-norm-bound"),
+        ((stability,), "_l1", None, "perturbation-norm-bound"),
+        ((calculus,), "_fd_derivative", None, "derivative-fd-agreement"),
+    ], ids=["run_sum", "_leaf_sum", "_copies_sum", "_block_sum", "_l1",
+            "_fd_derivative"])
     def test_layer_off_by_1e_6_fails_its_invariant(self, monkeypatch, modules,
-                                                   name, invariant):
+                                                   name, only, invariant):
         # Each row is a layer made wrong by 1e-6 in every module that binds
-        # it, and the invariant that must then fail at seed 0.
+        # it, and the invariant that must then fail at seed 0.  A run-sum
+        # leaf is copies of one run's value or a block that crosses a run
+        # boundary; rows "_copies_sum" and "_block_sum" make only the
+        # leaves of their kind wrong, so each kind must be reached.
         exact = getattr(modules[0], name)
 
         def wrong(*args):
-            return exact(*args) * (1.0 + 1e-6)
+            value = exact(*args)
+            return value * (1.0 + 1e-6) if only is None or only(*args) \
+                else value
 
         for module in modules:
             monkeypatch.setattr(module, name, wrong)
