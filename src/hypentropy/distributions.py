@@ -263,20 +263,26 @@ def _random_smooth(
     n: int, delta: float, rng: Xoshiro256StarStar
 ) -> tuple[np.ndarray, np.ndarray]:
     # Base point: normalized exponentials, i.e. a flat Dirichlet draw.  The
-    # base and the first direction come from one block draw.
+    # base and the first direction come from one block draw, and each is
+    # built in place in its half of it, so p and q are the only new arrays.
     draws = rng.randoms(2 * n)
-    g = -np.log(1.0 - draws[:n])
+    g, u = draws[:n], draws[n:]
+    np.subtract(1.0, g, out=g)
+    np.log(g, out=g)
+    np.negative(g, out=g)
     p = g / g.sum()
     # Zero-sum direction d_i = p_i * (u_i - <u>_p) keeps perturbed entries
     # positive after scaling to L1 size delta; redraw in the rare case the
-    # scaled step would leave [0, 1].
+    # scaled step would leave [0, 1].  g is the scratch for |d|.
     for attempt in range(100):
-        u = rng.randoms(n) if attempt else draws[n:]
-        d = p * (u - float(np.dot(p, u)))
-        l1 = float(np.abs(d).sum())
+        if attempt:
+            u = rng.randoms(n)
+        d = np.subtract(u, float(np.dot(p, u)), out=u)
+        np.multiply(p, d, out=d)
+        l1 = float(np.abs(d, out=g).sum())
         if l1 == 0.0:
             continue
-        q = p + (delta / l1) * d
+        q = p + np.multiply(d, delta / l1, out=d)
         if np.all(q >= 0.0) and np.all(q <= 1.0):
             return p, q
     raise BadDelta(f"could not realize an L1 perturbation of size {delta!r}")
@@ -364,8 +370,11 @@ def hyp_from_json(text: str) -> HyperbolicDistribution:
     cells = np.fromiter(itertools.chain.from_iterable(rho), float, 2 * len(rho))
     _check_json_cells(text, cells, itertools.chain.from_iterable(rho),
                       "component")
-    B = validate(cells.reshape(-1, 2))
     declared = payload.get("case")
+    # The parsed rows take several times the cells' bytes: free them before
+    # validate copies the projections.
+    del payload, rho
+    B = validate(cells.reshape(-1, 2))
     if declared is not None and declared != B.case.value:
         raise CaseMismatch(
             f"declared case {declared!r}, classified {B.case.value!r}"

@@ -178,9 +178,11 @@ class SweepConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        # A numpy number would change the seeds, which hash each token's repr.
+        # A numpy number or string would change the seeds, which hash each
+        # token's repr.
         try:
-            fields = {"n_grid": tuple(map(operator.index, self.n_grid)),
+            fields = {"families": tuple(map(str, self.families)),
+                      "n_grid": tuple(map(operator.index, self.n_grid)),
                       "delta_grid": tuple(map(float, self.delta_grid)),
                       "seed": operator.index(self.seed)}
         except (TypeError, ValueError) as exc:
@@ -215,9 +217,9 @@ def stability_sweep(config: SweepConfig) -> list[StabilityRecord]:
     base, base_memo = None, {}
     for family, n, delta in itertools.product(
             config.families, config.n_grid, config.delta_grid):
+        seeded = family in SEEDED_FAMILIES
         try:
-            seed = (derive_seed(config.seed, family, n, delta)
-                    if family in SEEDED_FAMILIES else 0)
+            seed = derive_seed(config.seed, family, n, delta) if seeded else 0
             pair = perturbation_family(family, n, delta, seed=seed)
             if pair.base is not base:
                 base, base_memo = pair.base, {}
@@ -233,6 +235,10 @@ def stability_sweep(config: SweepConfig) -> list[StabilityRecord]:
                     error=type(result).__name__,
                 )
             records.append(result)
+        if seeded:
+            # No other cell shares a drawn pair: drop it, its base and any
+            # error whose traceback holds it before the next pair is drawn.
+            pair = base = results = None
     records.sort(key=lambda r: (
         r.family, _measure_key(r.measure, r.order), r.n, r.delta))
     return records

@@ -8,6 +8,7 @@ dual-route check.
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -46,6 +47,16 @@ def random_full(rng: np.random.Generator, n: int) -> HyperbolicDistribution:
     p1 = rng.dirichlet(np.ones(n))
     p2 = rng.dirichlet(np.ones(n))
     return HyperbolicDistribution(p1, p2, Case.FULL)
+
+
+def traced_peak(call, *args) -> int:
+    """The ``tracemalloc`` peak, in bytes, of one ``call(*args)``."""
+    tracemalloc.start()
+    try:
+        call(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class CountingArray(np.ndarray):

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -69,6 +68,7 @@ from conftest import (
     oracle_renyi_extropy,
     oracle_shannon,
     random_full,
+    traced_peak,
 )
 
 P_MIXED = np.array([0.5, 0.25, 0.25])
@@ -807,12 +807,7 @@ class TestKernelsReadInPlace:
         # One 8N-byte temporary (the log or the power), none for a copy of p.
         n = 1_000_000
         p = np.full(n, 1.0 / n)
-        tracemalloc.start()
-        try:
-            kernel(p, *q)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(kernel, p, *q)
         assert peak <= 1.25 * 8 * n
 
 
@@ -916,10 +911,5 @@ class TestPairwiseSum:
     def test_no_n_element_temporary(self, million, kernel, q):
         # A whole term array would take 7.63 MiB; a leaf takes 0.25 MiB.
         p = million["zero-free"]
-        tracemalloc.start()
-        try:
-            kernel(p, *q)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(kernel, p, *q)
         assert peak < 1 << 20

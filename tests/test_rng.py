@@ -56,6 +56,12 @@ RANDOM_SMOOTH = {
     7: "5f262390ce43fe1c6f59115a8950f896f0fceeb0a7348fa2bd9bb42e0144e996",
 }
 
+# perturbation_family("RandomSmooth", 2, 0.5, seed=4) rejects six directions
+# and keeps the seventh draw's: the sizes of its draws, then its base and
+# perturbed arrays as bytes in hex.
+REDRAWN = ([4, 2, 2, 2, 2, 2, 2], "6eedcc3fa0a9bc3f536206f8cb6aec3f",
+           "5b3bf30f682ad73f526206f8cb6ae43f")
+
 DERIVED = [
     ((0,), 0),
     ((1, "RandomSmooth", 100, 0.01), 17222985607378406656),
@@ -197,6 +203,20 @@ def test_random_smooth_family_is_pinned(seed):
     pair = perturbation_family("RandomSmooth", 100_000, 0.01, seed=seed)
     assert _sha(pair.base.p.tobytes() + pair.perturbed.p.tobytes()) \
         == RANDOM_SMOOTH[seed]
+
+
+def test_redrawn_random_smooth_pair_is_pinned(monkeypatch):
+    sizes = []
+    randoms = Xoshiro256StarStar.randoms
+
+    def counted(self, n):
+        sizes.append(n)
+        return randoms(self, n)
+
+    monkeypatch.setattr(Xoshiro256StarStar, "randoms", counted)
+    pair = perturbation_family("RandomSmooth", 2, 0.5, seed=4)
+    assert (sizes, pair.base.p.tobytes().hex(),
+            pair.perturbed.p.tobytes().hex()) == REDRAWN
 
 
 @pytest.mark.parametrize("args,expected", DERIVED)

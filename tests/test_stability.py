@@ -6,7 +6,6 @@ import dataclasses
 import hashlib
 import math
 import time
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -40,7 +39,7 @@ from hypentropy.errors import (
 )
 from hypentropy.rng import Xoshiro256StarStar, derive_seed
 
-from conftest import oracle_renyi, oracle_shannon, random_full
+from conftest import oracle_renyi, oracle_shannon, random_full, traced_peak
 
 
 def dist(p) -> RealDistribution:
@@ -92,13 +91,7 @@ class TestLescheNormAtAMillion:
 
     def test_no_n_element_temporary(self, pair):
         # The difference array would take 7.63 MiB; a leaf takes 0.25 MiB.
-        tracemalloc.start()
-        try:
-            stability._l1(*pair)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20
+        assert traced_peak(stability._l1, *pair) < 1 << 20
 
 
 class TestLescheNormHyp:
@@ -241,6 +234,19 @@ class TestSweep:
         want = records(n_grid=[1000], delta_grid=[0.01], seed=3)
         assert records(n_grid=np.array([1000]), delta_grid=np.array([0.01]),
                        seed=np.int64(3)) == want
+
+    def test_numpy_family_names_give_the_records_of_python_ones(self):
+        # np.str_ reprs as np.str_('RandomSmooth'), which would change the seed.
+        def records(families):
+            return stability_sweep(self.make_config(
+                families=families, n_grid=[1000], delta_grid=[0.01],
+                measures=(("shannon", None),), seed=3))
+
+        want = records(["RandomSmooth"])
+        got = records(np.array(["RandomSmooth"]))
+        assert repr(got) == repr(want)
+        assert type(got[0].family) is str
+        assert f"{got[0].ratio.x1:.4e}" == "7.2160e-05"
 
     @pytest.mark.parametrize("grid", [{"n_grid": [1000.0]},
                                       {"n_grid": [np.float64(1000)]},
@@ -699,12 +705,8 @@ class TestSweepOnRuns:
         config = SweepConfig(families=("CertaintySpread", "UniformSpike"),
                              n_grid=(1_000_000,), delta_grid=(0.01, 0.3),
                              measures=self.SELECTION)
-        tracemalloc.start()
-        try:
-            records = stability_sweep(config)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        records = []
+        peak = traced_peak(lambda: records.extend(stability_sweep(config)))
         assert all(r.error is None for r in records)
         assert peak < 1 << 20
 
@@ -718,3 +720,22 @@ class TestSweepOnRuns:
         assert len(records) == 2 * 2 * 12
         assert all(r.error is None for r in records)
         assert all(math.isfinite(r.ratio.x1) for r in records)
+
+
+class TestRandomSmoothWorkingSet:
+    """A RandomSmooth pair is built inside its own draw buffer, and a sweep
+    holds one drawn pair at a time."""
+
+    SELECTION = (("shannon", None), ("renyi", embed_real(0.5)),
+                 ("strong_shannon_hyp", None), ("renyi_hyp", embed_real(0.5)))
+
+    @pytest.mark.parametrize("n", [100_000, 1_000_000])
+    def test_sweep_peaks_near_its_pair(self, n):
+        # Draw once untraced, so that the peak holds no jump-matrix cache.
+        pair = perturbation_family("RandomSmooth", n, 0.01)
+        assert pair.base.p.base is None and pair.perturbed.p.base is None
+        pair_bytes = pair.base.p.nbytes + pair.perturbed.p.nbytes
+        del pair
+        config = SweepConfig(families=("RandomSmooth",), n_grid=(n,),
+                             delta_grid=(0.01, 0.001), measures=self.SELECTION)
+        assert traced_peak(stability_sweep, config) <= 2.5 * pair_bytes
